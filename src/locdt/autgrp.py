@@ -12,8 +12,8 @@ exposed; isomorphism testing runs the same search on the disjoint union.
 from collections import deque
 from dataclasses import dataclass
 
-from .perms import Permutation, PermGroup
-from .graphs import Graph
+from .perms import Permutation, PermGroup, orbit_closure
+from .graphs import Graph, automorphism_failure, components
 
 DEFAULT_VERTEX_LIMIT = 4096
 
@@ -33,17 +33,6 @@ class Coloring:
         object.__setattr__(
             self, "cells", tuple(tuple(sorted(c)) for c in self.cells)
         )
-
-    def color_of(self):
-        size = sum(len(c) for c in self.cells)
-        out = [-1] * size
-        for ci, cell in enumerate(self.cells):
-            for v in cell:
-                out[v] = ci
-        return tuple(out)
-
-    def is_discrete(self):
-        return all(len(c) == 1 for c in self.cells)
 
 
 def unit_coloring(g):
@@ -124,14 +113,6 @@ def _individualize(adj, cells, pos, v):
     return _refine(adj, new_cells, seed=[(v,)])
 
 
-def _is_automorphism(adj, mapping):
-    for u in range(len(adj)):
-        mu = mapping[u]
-        if tuple(sorted(mapping[w] for w in adj[u])) != adj[mu]:
-            return False
-    return True
-
-
 def _leaf_order(cells):
     return tuple(c[0] for c in cells)
 
@@ -179,7 +160,7 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
                 mapping = [0] * len(anchor_leaf)
                 for a, c in zip(anchor_leaf, _leaf_order(cells)):
                     mapping[a] = c
-                if _is_automorphism(adj, mapping):
+                if automorphism_failure(g, mapping) is None:
                     return tuple(mapping)
             return None
         pos = _target_cell(cells)
@@ -198,23 +179,11 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
         branch = node["branch"]
         # orbit of the branch vertex under generators fixing the prefix;
         # generators found at deeper levels fix it, so level order is safe
-        level_gens = []
-        orbit = {branch}
-
-        def close_orbit():
-            queue = deque(orbit)
-            while queue:
-                a = queue.popleft()
-                for s in level_gens:
-                    bimg = s[a]
-                    if bimg not in orbit:
-                        orbit.add(bimg)
-                        queue.append(bimg)
-
-        for p in gens:
-            if all(p[node2["branch"]] == node2["branch"] for node2 in anchor[:depth]):
-                level_gens.append(p)
-        close_orbit()
+        level_gens = [
+            p for p in gens
+            if all(p[node2["branch"]] == node2["branch"] for node2 in anchor[:depth])
+        ]
+        orbit = orbit_closure(level_gens, [branch])
         for v in node["target"][1:]:
             if v in orbit:
                 continue
@@ -225,8 +194,7 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
             if found is not None:
                 gens.append(found)
                 level_gens.append(found)
-                orbit.add(found[branch])
-                close_orbit()
+                orbit = orbit_closure(level_gens, orbit)
     return PermGroup(g.n, [Permutation(p) for p in gens])
 
 
@@ -266,8 +234,8 @@ def _isomorphism_connected(g1, g2):
 
 
 def _isomorphism_components(g1, g2, limit):
-    comps1 = _components(g1)
-    comps2 = _components(g2)
+    comps1 = components(g1)
+    comps2 = components(g2)
     if sorted(len(c) for c in comps1) != sorted(len(c) for c in comps2):
         return None
     mapping = [None] * g1.n
@@ -289,23 +257,3 @@ def _isomorphism_components(g1, g2, limit):
         if not placed:
             return None
     return tuple(mapping)
-
-
-def _components(g):
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
-    return out

@@ -7,13 +7,15 @@ stabilizers of two vertices in the same orbit are conjugate, so their orbit
 counts on distance spheres agree exactly (not heuristically).
 """
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 
 from .autgrp import LimitError
 from .geometry import complete, complete_bipartite
 from .graphs import (
     INF,
+    GraphError,
+    automorphism_failure,
     bfs_distances,
     diameter,
     girth,
@@ -21,7 +23,13 @@ from .graphs import (
     moore_bound,
     subdivision,
 )
-from .perms import GroupError, PermGroup, orbit_sizes_within
+from .perms import (
+    GroupError,
+    PermGroup,
+    on_tuples,
+    orbit_closure,
+    orbit_sizes_within,
+)
 
 # girths that can occur for valency >= 3 (generalised polygon spectrum
 # plus the degenerate small cases)
@@ -29,16 +37,14 @@ CAGE_GIRTHS = (3, 4, 5, 6, 8, 12)
 
 
 def _check_generators_are_automorphisms(g, G):
-    adj = g.adjacency
     if G.degree != g.n:
         raise GroupError(f"group degree {G.degree} does not match graph n={g.n}")
     for p in G.generators:
-        imgs = p.images
-        for u in range(g.n):
-            if tuple(sorted(imgs[w] for w in adj[u])) != adj[imgs[u]]:
-                raise GroupError(
-                    f"generator {p!r} is not an automorphism (fails at vertex {u})"
-                )
+        u = automorphism_failure(g, p.images)
+        if u is not None:
+            raise GroupError(
+                f"generator {p!r} is not an automorphism (fails at vertex {u})"
+            )
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,13 @@ class LDTResult:
     reps: tuple
     first_failure: tuple = None  # (vertex, depth, orbit_sizes) or None
 
+    def at_depth(self, s):
+        """The result of the same test at depth ``s`` <= ``self.s``: the
+        spheres are a prefix of the deeper run's, so nothing is recomputed."""
+        if not 1 <= s <= self.s:
+            raise ValueError(f"depth {s} outside 1..{self.s}")
+        return _ldt_result(s, [replace(r, spheres=r.spheres[:s]) for r in self.reps])
+
     def to_dict(self):
         return {
             "s": self.s,
@@ -97,6 +110,19 @@ class LDTResult:
         }
 
 
+def _ldt_result(s, reps):
+    """LDTResult whose verdict and first failure are read off the spheres
+    (representatives in order, depths ascending)."""
+    failures = (
+        (r.vertex, sp.depth, sp.orbit_sizes)
+        for r in reps
+        for sp in r.spheres
+        if not sp.transitive
+    )
+    first = next(failures, None)
+    return LDTResult(s, first is None, tuple(reps), first)
+
+
 def check_local_sdt(gamma, G, s):
     """Is ``gamma`` locally (G,s)-distance transitive?
 
@@ -104,26 +130,23 @@ def check_local_sdt(gamma, G, s):
     stabilizer G_x on every sphere at depth 1..min(s, ecc(x)); depths past
     the eccentricity have empty spheres and are skipped, never failed.
     """
+    if s < 1:
+        raise ValueError(f"depth must be at least 1, got {s}")
     _check_generators_are_automorphisms(gamma, G)
     reps = []
-    first_failure = None
-    verdict = True
     for x in G.orbits().representatives:
         dist = bfs_distances(gamma, x)
         ecc = max(dist)
         if ecc == INF:
-            raise GroupError("graph must be connected")
+            raise GraphError("graph must be connected")
         stab = G.stabilizer(x)
         spheres = []
         for depth in range(1, min(s, ecc) + 1):
             pts = [v for v in range(gamma.n) if dist[v] == depth]
             sizes = tuple(orbit_sizes_within(stab, pts))
             spheres.append(SphereOrbits(depth, len(pts), sizes))
-            if len(sizes) != 1 and first_failure is None:
-                first_failure = (x, depth, sizes)
-                verdict = False
         reps.append(RepReport(x, ecc, stab.order(), tuple(spheres)))
-    return LDTResult(s, verdict, tuple(reps), first_failure)
+    return _ldt_result(s, reps)
 
 
 @dataclass(frozen=True)
@@ -150,7 +173,7 @@ class ArcTransResult:
 def enumerate_arcs(g, s, cap=10**7):
     """All s-arcs (non-backtracking walks) in lexicographic order."""
     if s < 1:
-        raise GroupError("arc length must be at least 1")
+        raise ValueError(f"arc length must be at least 1, got {s}")
     adj = g.adjacency
     arcs = []
     stack = [(v,) for v in reversed(range(g.n))]
@@ -171,29 +194,18 @@ def enumerate_arcs(g, s, cap=10**7):
 def check_arc_transitive(g, G, s, cap=10**7):
     """Does G act transitively on the s-arcs of g?
 
-    Arcs are materialised as tuples in a hash-indexed arena; the generator
-    action is pointwise and orbits are closed by BFS.
+    Arcs are materialised as tuples; orbits are closed under the pointwise
+    generator action.  Orbits partition the arcs, so each closure stays
+    inside the arcs not yet counted.
     """
     _check_generators_are_automorphisms(g, G)
     arcs = enumerate_arcs(g, s, cap)
-    index = {a: i for i, a in enumerate(arcs)}
     gens = G.raw_generators
-    seen = [False] * len(arcs)
+    left = set(arcs)
     orbit_count = 0
-    for start in range(len(arcs)):
-        if seen[start]:
-            continue
+    while left:
+        left -= orbit_closure(gens, [next(iter(left))], on_tuples, within=left)
         orbit_count += 1
-        seen[start] = True
-        queue = deque([arcs[start]])
-        while queue:
-            arc = queue.popleft()
-            for p in gens:
-                img = tuple(p[v] for v in arc)
-                i = index[img]
-                if not seen[i]:
-                    seen[i] = True
-                    queue.append(img)
     all_geo = True
     dist_cache = {}
     for arc in arcs:
@@ -293,8 +305,11 @@ def condition_star(G, n, representative=0):
     u1 = side1[representative]
     stab_u1 = G.stabilizer(u1)
     pair_target = (n - 1) * n
-    pairs_seen = _pair_orbit_size(stab_u1, (next(v for v in side1 if v != u1), side2[0]),
-                                  set(side1) - {u1}, set(side2))
+    start = (next(v for v in side1 if v != u1), side2[0])
+    pairs = set(product(set(side1) - {u1}, side2))
+    pairs_seen = len(
+        orbit_closure(stab_u1.raw_generators, [start], on_tuples, within=pairs)
+    )
     clause_ii = StarClause(
         pairs_seen == pair_target,
         f"stabilizer of {u1} reaches {pairs_seen} of {pair_target} ordered pairs",
@@ -331,22 +346,6 @@ def condition_star(G, n, representative=0):
         clause_iii,
         clause_i.holds and clause_ii.holds and clause_iii.holds,
     )
-
-
-def _pair_orbit_size(G, start, first_set, second_set):
-    gens = G.raw_generators
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        a, b = queue.popleft()
-        for p in gens:
-            img = (p[a], p[b])
-            if img[0] not in first_set or img[1] not in second_set:
-                raise GroupError("pair set not invariant under stabilizer")
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return len(seen)
 
 
 @dataclass(frozen=True)
@@ -434,9 +433,9 @@ def complete_graph_criteria(n, G):
     kn = complete(n)
     sub, smap = subdivision(kn)
     Glift = lift_group(G, smap)
-    d_sub = diameter(sub)
-    ldt_half = check_local_sdt(sub, Glift, 2).verdict
-    ldt_full = check_local_sdt(sub, Glift, d_sub).verdict
+    ldt = check_local_sdt(sub, Glift, diameter(sub))
+    ldt_half = ldt.at_depth(2).verdict
+    ldt_full = ldt.verdict
     three = G.is_k_transitive(3)
     four = G.is_k_transitive(4)
     exceptional = n == 9 and G.order() == 1512 and three

@@ -5,7 +5,8 @@ moore.  Exit codes are a stable contract:
 
     0  success / verdict yes
     1  verification failure / verdict no
-    2  bad graph or bad constructor parameters
+    2  bad graph (disconnected where a connected one is needed) or bad
+       parameters (constructor parameters, a depth below 1)
     3  size limit exceeded
     4  bad group (degree mismatch, non-automorphism generator)
 

@@ -146,11 +146,6 @@ class SubdivisionMap:
     n: int
     edges: tuple
 
-    def original(self, i):
-        if not 0 <= i < self.n:
-            raise GraphError(f"no original vertex {i}")
-        return i
-
     def edge_vertex(self, u, v):
         e = (u, v) if u < v else (v, u)
         try:
@@ -343,28 +338,42 @@ def distance2_components(g):
     if not g.is_bipartite():
         raise GraphError("graph must be bipartite")
     d2 = distance2_graph(g)
-    comp0 = _component_of(d2, 0)
-    rest = [v for v in range(g.n) if v not in comp0]
-    if not rest:
+    comps = components(d2)
+    if len(comps) < 2:
         raise GraphError("distance-2 graph is connected; expected two parts")
-    comp1 = _component_of(d2, rest[0])
-    if len(comp0) + len(comp1) != g.n:
+    if len(comps) > 2:
         raise GraphError("distance-2 graph has more than two components")
-    first = sorted(comp0)
-    second = sorted(comp1)
-    return d2.relabeled(first), d2.relabeled(second)
+    return d2.relabeled(comps[0]), d2.relabeled(comps[1])
 
 
-def _component_of(g, s):
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+def components(g):
+    """Vertex sets of the connected components, each ascending, in order
+    of their smallest vertex."""
+    seen = [False] * g.n
+    out = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for u in comp:  # grows while scanned: breadth-first
+            for w in g.adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+def automorphism_failure(g, images):
+    """First vertex whose neighbourhood ``images`` does not map onto the
+    neighbourhood of its image, or None when ``images`` is an automorphism
+    of ``g``."""
+    adj = g.adjacency
+    for u in range(g.n):
+        if tuple(sorted(images[w] for w in adj[u])) != adj[images[u]]:
+            return u
+    return None
 
 
 def lift_to_subdivision(p, smap):

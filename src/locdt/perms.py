@@ -322,17 +322,7 @@ class PermGroup:
         """Smallest generator-closed set containing ``x``, ascending."""
         if not 0 <= x < self.degree:
             raise GroupError(f"point {x} out of range")
-        gens = self.raw_generators
-        seen = {x}
-        queue = deque([x])
-        while queue:
-            a = queue.popleft()
-            for s in gens:
-                b = s[a]
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return tuple(sorted(seen))
+        return tuple(sorted(orbit_closure(self.raw_generators, [x])))
 
     def orbit_transversal(self, x):
         """Orbit of x with one group element per point mapping x there."""
@@ -341,6 +331,7 @@ class PermGroup:
 
     def orbits(self):
         """Full orbit partition, representatives in ascending order."""
+        gens = self.raw_generators
         reps = []
         class_of = [-1] * self.degree
         for v in range(self.degree):
@@ -348,12 +339,9 @@ class PermGroup:
                 continue
             idx = len(reps)
             reps.append(v)
-            for w in self.orbit(v):
+            for w in orbit_closure(gens, [v]):
                 class_of[w] = idx
         return OrbitPartition(tuple(reps), tuple(class_of))
-
-    def is_transitive(self):
-        return self.degree > 0 and len(self.orbit(0)) == self.degree
 
     def stabilizer(self, x):
         """Point stabilizer, built by a base change that puts x first."""
@@ -512,18 +500,8 @@ class PermGroup:
         target = 1
         for i in range(k):
             target *= n - i
-        gens = self.raw_generators
         start = tuple(range(k))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            t = queue.popleft()
-            for s in gens:
-                img = tuple(s[v] for v in t)
-                if img not in seen:
-                    seen.add(img)
-                    queue.append(img)
-        return len(seen) == target
+        return len(orbit_closure(self.raw_generators, [start], on_tuples)) == target
 
     def restrict(self, points):
         """Action on an invariant point set, relabeled to 0..len-1 in the
@@ -544,31 +522,42 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
+def on_points(g, x):
+    return g[x]
+
+
+def on_tuples(g, t):
+    """Componentwise action on a tuple of points."""
+    return tuple(map(g.__getitem__, t))
+
+
+def orbit_closure(gens, seeds, act=on_points, within=None):
+    """Smallest set containing ``seeds`` and closed under ``act(g, x)`` for
+    every raw generator ``g``.  An image outside ``within`` (when given)
+    means the set is not invariant and raises GroupError."""
+    seen = set(seeds)
+    todo = list(seen)
+    for x in todo:  # grows while scanned
+        for g in gens:
+            y = act(g, x)
+            if y not in seen:
+                if within is not None and y not in within:
+                    raise GroupError(f"set not invariant under group: {x} -> {y}")
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
 def orbit_sizes_within(G, points):
     """Sorted orbit sizes of ``G`` restricted to ``points`` (must be
     invariant)."""
-    pts = set(points)
     gens = G.raw_generators
+    pts = set(points)
+    left = set(pts)
     sizes = []
-    left = sorted(pts)
-    seen = set()
-    for start in left:
-        if start in seen:
-            continue
-        orb = {start}
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for s in gens:
-                b = s[a]
-                if b not in pts:
-                    raise GroupError(
-                        f"point set not invariant under group: {a} -> {b}"
-                    )
-                if b not in orb:
-                    orb.add(b)
-                    queue.append(b)
-        seen |= orb
+    while left:
+        orb = orbit_closure(gens, [next(iter(left))], within=pts)
+        left -= orb
         sizes.append(len(orb))
     return sorted(sizes)
 

@@ -11,7 +11,7 @@ from locdt.checks import (
     enumerate_arcs,
     complete_graph_criteria,
 )
-from locdt.graphs import Graph, lift_group, subdivision
+from locdt.graphs import Graph, diameter, lift_group, subdivision
 from locdt.geometry import (
     complete_bipartite,
     cycle,
@@ -21,7 +21,13 @@ from locdt.geometry import (
     petersen_s5,
     pgammal2,
 )
-from locdt.harness import chamber_groups_on_w32
+from locdt.harness import (
+    CASES,
+    NEGATIVE_CASES,
+    _select_group,
+    build_constructor,
+    chamber_groups_on_w32,
+)
 from locdt.perms import (
     GroupError,
     PermGroup,
@@ -272,3 +278,25 @@ def test_diameter_bounds():
     bad = [{"row": "x", "passed": True,
             "graph": {"valency_max": 3, "diameter": 7, "subdivision_diameter": 14}}]
     assert not diameter_bounds_check(bad)["holds"]
+
+
+@pytest.mark.parametrize(
+    "row", ["1(n=3)", "2", "4(q=2)", "8(n=7)", "8(n=8)", "neg-w3(q=2)-pgl"]
+)
+def test_ldt_at_depth_matches_direct_run(row):
+    # 8(n=7) is an odd cycle, where D = 2d + 1
+    case = next(c for c in CASES + NEGATIVE_CASES if c.row == row)
+    g = build_constructor(case.constructor, case.params)
+    G, _ = _select_group(case, g)
+    sub, smap = subdivision(g)
+    lifted = lift_group(G, smap)
+    D = diameter(sub)
+    full = check_local_sdt(sub, lifted, D)
+    for s in range(1, D + 1):
+        cut, direct = full.at_depth(s), check_local_sdt(sub, lifted, s)
+        assert cut == direct
+        assert cut.to_dict() == direct.to_dict()
+    assert full.at_depth(D) == full
+    for bad in (0, D + 1):
+        with pytest.raises(ValueError):
+            full.at_depth(bad)

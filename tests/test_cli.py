@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from locdt.cli import main
 
 
@@ -123,6 +125,27 @@ def test_check_ldt_bad_generators_exit4(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check-ldt", "petersen", "--gens", str(gens),
                            "--s", "1")
     assert code == 4
+
+
+def test_check_ldt_disconnected_graph_exit2(tmp_path, capsys):
+    path = tmp_path / "disc.txt"
+    path.write_text("4 2\n0 1\n2 3\n")
+    code, _, err = run_cli(capsys, "check-ldt", "--graph", str(path), "--s", "1")
+    assert code == 2
+    assert "connected" in err
+
+
+@pytest.mark.parametrize("s", ["0", "-3"])
+def test_check_ldt_depth_below_one_exit2(capsys, s):
+    code, out, _ = run_cli(capsys, "check-ldt", "petersen", "--s", s)
+    assert code == 2
+    assert out == ""
+
+
+def test_check_arc_depth_zero_exit2(capsys):
+    code, out, _ = run_cli(capsys, "check-arc", "petersen", "--s", "0")
+    assert code == 2
+    assert out == ""
 
 
 def test_check_arc_cli(capsys):

@@ -11,6 +11,9 @@ from locdt.perms import (
     alternating_group,
     cyclic_group,
     dihedral_group,
+    on_tuples,
+    orbit_closure,
+    orbit_sizes_within,
     read_generators,
     symmetric_group,
     write_generators,
@@ -360,3 +363,48 @@ def test_restrict_action():
     rot2 = PermGroup(6, [Permutation.from_cycles(6, [(0, 2, 4), (1, 3, 5)])])
     r = rot2.restrict([0, 2, 4])
     assert r.degree == 3 and r.order() == 3
+
+
+def test_orbit_closure_points_tuples_and_invariance():
+    rot = (1, 2, 3, 0)
+    assert orbit_closure([rot], [0]) == {0, 1, 2, 3}
+    assert orbit_closure([], [2, 3]) == {2, 3}
+    assert orbit_closure([rot], [(0, 2)], on_tuples) == {(0, 2), (1, 3), (2, 0), (3, 1)}
+    assert orbit_closure([rot], [0], within={0, 1, 2, 3}) == {0, 1, 2, 3}
+    with pytest.raises(GroupError):
+        orbit_closure([rot], [0], within={0, 1})
+
+
+def test_orbit_primitives_agree_with_sympy():
+    pytest.importorskip("sympy")
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from sympy.combinatorics import Permutation as SPerm, PermutationGroup
+
+    def group_on(n):
+        perm = st.permutations(range(n)).map(tuple)
+        return st.tuples(st.just(n), st.lists(perm, min_size=1, max_size=3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(group_on), st.data())
+    def check(group, data):
+        n, gens = group
+        G = PermGroup(n, [Permutation(g) for g in gens])
+        S = PermutationGroup([SPerm(list(g)) for g in gens])
+        sym_orbits = sorted(tuple(sorted(o)) for o in S.orbits())
+        assert sorted(G.orbits().classes) == sym_orbits
+
+        # a union of orbits gives their sizes; any other set is not invariant
+        subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        inside = [o for o in sym_orbits if set(o) <= subset]
+        if sum(len(o) for o in inside) == len(subset):
+            assert orbit_sizes_within(G, subset) == sorted(len(o) for o in inside)
+        else:
+            with pytest.raises(GroupError):
+                orbit_sizes_within(G, subset)
+
+        degree = S.transitivity_degree
+        for k in range(1, min(3, n) + 1):
+            assert G.is_k_transitive(k) == (degree >= k)
+
+    check()
