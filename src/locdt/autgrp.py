@@ -118,7 +118,8 @@ def _leaf_order(cells):
 
 
 def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
-    """Generators of the colour-preserving automorphism group."""
+    """Generators of the colour-preserving automorphism group, which carries
+    its order: the product of the orbit sizes along the anchor path."""
     if g.n > limit:
         raise LimitError(f"graph has {g.n} vertices, limit is {limit}")
     adj = g.adjacency
@@ -151,6 +152,7 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
     anchor_traces = [node["trace"] for node in anchor]
 
     gens = []
+    order = 1
 
     def find_mapped_leaf(cells, depth):
         """Search below a sibling branch for one automorphism onto the
@@ -195,7 +197,10 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
                 gens.append(found)
                 level_gens.append(found)
                 orbit = orbit_closure(level_gens, orbit)
-    return PermGroup(g.n, [Permutation(p) for p in gens])
+        # every sibling outside the orbit was searched exhaustively, so this
+        # is the whole orbit of the prefix stabilizer: |Aut| is the product
+        order *= len(orbit)
+    return PermGroup(g.n, [Permutation(p) for p in gens], order=order)
 
 
 def _quick_invariants(g):

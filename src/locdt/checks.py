@@ -295,11 +295,12 @@ def condition_star(G, n, representative=0):
     side2 = list(range(n, 2 * n))
     comp1 = kernel.restrict(side1)
     comp2 = kernel.restrict(side2)
-    two_trans = comp1.is_k_transitive(2) and comp2.is_k_transitive(2)
+    two_trans1 = comp1.is_k_transitive(2)
+    two_trans2 = comp2.is_k_transitive(2)
     clause_i = StarClause(
-        two_trans,
+        two_trans1 and two_trans2,
         f"component orders {comp1.order()} and {comp2.order()}, "
-        f"2-transitive: {comp1.is_k_transitive(2)}/{comp2.is_k_transitive(2)}",
+        f"2-transitive: {two_trans1}/{two_trans2}",
     )
 
     u1 = side1[representative]

@@ -49,12 +49,16 @@ EXIT_BAD_GRAPH = 2
 EXIT_LIMIT = 3
 EXIT_BAD_GROUP = 4
 
+# --recipe name -> group transported by chamber_groups_on_w32
+RECIPES = {"m10": "m10", "pgl29": "pgl", "psl29": "psl",
+           "psigmal29": "psigmal", "pgammal29": "pgammal"}
 
-def _vertex_limit(args):
+
+def _vertex_limit():
     env = os.environ.get("LOCDT_VERTEX_LIMIT")
     if env:
         return int(env)
-    return getattr(args, "vertex_limit", None) or DEFAULT_VERTEX_LIMIT
+    return DEFAULT_VERTEX_LIMIT
 
 
 def _constructor_params(args):
@@ -92,14 +96,12 @@ def _format_report(args, data):
             if isinstance(value, dict):
                 for k, v in value.items():
                     flatten(f"{prefix}.{k}" if prefix else str(k), v)
-            elif isinstance(value, list):
-                lines.append((prefix, json.dumps(value)))
             else:
                 lines.append((prefix, json.dumps(value)))
 
         flatten("", data)
         return "".join(f"{k}\t{v}\n" for k, v in lines)
-    return json.dumps(data, indent=2) + "\n"
+    return report_to_json(data)
 
 
 def cmd_construct(args):
@@ -124,7 +126,7 @@ def cmd_analyze(args):
 
 def cmd_aut(args):
     g = _load_graph(args)
-    G = automorphism_group(g, limit=_vertex_limit(args))
+    G = automorphism_group(g, limit=_vertex_limit())
     if args.output:
         write_generators(G, args.output)
     sys.stdout.write(f"{G.order()}\n")
@@ -134,15 +136,11 @@ def cmd_aut(args):
 def _group_for(args, g):
     if args.gens:
         return read_generators(args.gens)
-    if args.recipe:
-        recipes = {"m10": "m10", "pgl29": "pgl", "psl29": "psl",
-                   "psigmal29": "psigmal", "pgammal29": "pgammal"}
-        if args.recipe == "full":
-            return automorphism_group(g, limit=_vertex_limit(args))
-        if args.recipe in recipes:
-            return chamber_groups_on_w32()[recipes[args.recipe]]
+    if args.recipe in RECIPES:
+        return chamber_groups_on_w32()[RECIPES[args.recipe]]
+    if args.recipe and args.recipe != "full":
         raise GroupError(f"unknown group recipe {args.recipe!r}")
-    return automorphism_group(g, limit=_vertex_limit(args))
+    return automorphism_group(g, limit=_vertex_limit())
 
 
 def cmd_check_ldt(args):
@@ -167,12 +165,7 @@ def cmd_check_arc(args):
 def cmd_verify_table(args):
     t0 = time.time()
     report = verify_table(include_hexagon=args.include_hexagon, jobs=args.jobs)
-    text = (
-        report_to_json(report)
-        if args.format == "json"
-        else _format_report(args, report)
-    )
-    _emit(args, text)
+    _emit(args, _format_report(args, report))
     print(f"verify-table wall clock: {time.time() - t0:.1f}s", file=sys.stderr)
     if args.golden:
         with open(args.golden) as fh:
@@ -220,30 +213,27 @@ def build_parser():
     p = sub.add_parser("aut", help="automorphism generators and order")
     _add_graph_source(p)
     p.add_argument("-o", "--output", help="generator file")
-    p.add_argument("--vertex-limit", type=int, default=None)
     p.set_defaults(fn=cmd_aut)
 
     p = sub.add_parser("check-ldt", help="local distance-transitivity check")
     _add_graph_source(p)
     p.add_argument("--gens", help="generator file")
-    p.add_argument("--recipe", help="full | m10 | pgl29 | psl29 | psigmal29")
+    p.add_argument("--recipe", help=" | ".join(["full", *RECIPES]))
     p.add_argument("--s", type=int, required=True, help="depth")
     p.add_argument("--subdivide", action="store_true",
                    help="check the subdivision graph with the lifted group")
     p.add_argument("-o", "--output")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--vertex-limit", type=int, default=None)
     p.set_defaults(fn=cmd_check_ldt)
 
     p = sub.add_parser("check-arc", help="s-arc transitivity check")
     _add_graph_source(p)
-    p.add_argument("--gens")
-    p.add_argument("--recipe")
+    p.add_argument("--gens", help="generator file")
+    p.add_argument("--recipe", help=" | ".join(["full", *RECIPES]))
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--arc-cap", type=int, default=10**7)
     p.add_argument("-o", "--output")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--vertex-limit", type=int, default=None)
     p.set_defaults(fn=cmd_check_arc)
 
     p = sub.add_parser("verify-table", help="run the full verification harness")

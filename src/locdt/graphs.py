@@ -404,9 +404,11 @@ def lift_to_subdivision(p, smap):
 
 
 def lift_group(G, smap):
-    """Lift every generator of ``G`` to the subdivision graph."""
+    """Lift every generator of ``G`` to the subdivision graph.  The lift is
+    faithful (restricting to the original vertices recovers the element),
+    so the lifted group carries the order of ``G``."""
     gens = [lift_to_subdivision(p, smap) for p in G.generators]
-    return PermGroup(smap.n + smap.m, gens)
+    return PermGroup(smap.n + smap.m, gens, order=G.order())
 
 
 def moore_bound(k, g):

@@ -26,6 +26,7 @@ from .graphs import (
     Graph,
     analyze,
     bfs_distances,
+    diameter,
     lift_group,
     lift_to_subdivision,
     subdivision,
@@ -201,13 +202,13 @@ def _select_group(case, g):
         return G, {"rule": rule, "order": G.order()}
     if rule == "index2-sdt-pick":
         full = automorphism_group(g)
-        derived = full.derived_subgroup()
         subs = full.index2_subgroups_over_derived()
         sub, smap = subdivision(g)
+        depth = diameter(sub)
         verdicts = []
         for H in subs:
             lifted = lift_group(H, smap)
-            verdicts.append(check_local_sdt(sub, lifted, 8).verdict)
+            verdicts.append(check_local_sdt(sub, lifted, depth).verdict)
         passing = [i for i, v in enumerate(verdicts) if v]
         if len(passing) != 1:
             raise GroupError(
@@ -218,7 +219,8 @@ def _select_group(case, g):
             "rule": rule,
             "order": G.order(),
             "full_order": full.order(),
-            "derived_order": derived.order(),
+            # index2_subgroups_over_derived has checked |G : D| = 4
+            "derived_order": full.order() // 4,
             "index2_orders": [H.order() for H in subs],
             "index2_verdicts": verdicts,
         }

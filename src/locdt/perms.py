@@ -194,7 +194,9 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     ``base_prefix`` forces the first base points (used for stabilizers);
     further base points are the smallest point moved by the generator that
     needs them.  ``known_order`` allows an early exit once the transversal
-    product reaches the target, which makes base changes cheap.
+    product reaches the target, which makes base changes cheap.  The product
+    reaches the true order only on a complete chain, so the exit leaves the
+    chain unchanged; a chain of any other order raises GroupError.
     """
     ident = _identity(degree)
     gens = [g for g in gens if g != ident]
@@ -204,8 +206,6 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
             base.append(_smallest_moved(g))
     # drop prefix points nothing moves (keeps chains minimal and orders exact)
     base = [b for b in base if any(g[b] != b for g in gens)]
-    if not gens:
-        return _Chain(degree, [], [], [], [])
 
     sgd = [
         [g for g in gens if all(g[b] == b for b in base[:i])]
@@ -258,13 +258,18 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
                 break
         if not restart:
             i -= 1
+    if known_order is not None and chain.order() != known_order:
+        raise GroupError(
+            f"chain has order {chain.order()}, known order is {known_order}"
+        )
     return chain
 
 
 class PermGroup:
-    """Finitely generated permutation group on 0..degree-1."""
+    """Finitely generated permutation group on 0..degree-1; its ``order``,
+    when known, is the ``known_order`` of its chain."""
 
-    def __init__(self, degree, generators):
+    def __init__(self, degree, generators, order=None):
         gens = []
         seen = set()
         for p in generators:
@@ -280,6 +285,7 @@ class PermGroup:
             gens.append(p)
         self.degree = degree
         self.generators = tuple(gens)
+        self._order = order
         self._chain = None
 
     @classmethod
@@ -296,10 +302,10 @@ class PermGroup:
     def raw_generators(self):
         return [p.images for p in self.generators]
 
-    def chain(self, known_order=None):
+    def chain(self):
         if self._chain is None:
             self._chain = build_chain(
-                self.degree, self.raw_generators, known_order=known_order
+                self.degree, self.raw_generators, known_order=self._order
             )
         return self._chain
 
@@ -360,14 +366,7 @@ class PermGroup:
             # x is fixed by the whole group
             tail = chain
         gens = [Permutation._wrap(g) for level in tail.sgd for g in level]
-        # dedupe, preserving order
-        uniq = []
-        seen = set()
-        for p in gens:
-            if p.images not in seen:
-                seen.add(p.images)
-                uniq.append(p)
-        return PermGroup._with_chain(self.degree, uniq, tail)
+        return PermGroup._with_chain(self.degree, gens, tail)
 
     def _strong_generators(self):
         chain = self.chain()
@@ -378,8 +377,6 @@ class PermGroup:
                 if g not in seen:
                     seen.add(g)
                     out.append(g)
-        if not out:
-            return self.raw_generators
         return out
 
     def stabilizer_orbits_on(self, x, points):

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -10,15 +11,18 @@ from locdt.autgrp import (
     refine,
     unit_coloring,
 )
-from locdt.graphs import Graph, subdivision
+from locdt.graphs import Graph, lift_group, subdivision
 from locdt.geometry import (
     complete_bipartite,
     cycle,
     hoffman_singleton,
+    incidence_hexagon,
     incidence_pg2,
     incidence_w3,
     petersen,
 )
+from locdt.harness import chamber_groups_on_w32
+from locdt.perms import GroupError, PermGroup, build_chain, symmetric_group
 
 
 def test_refine_regular_graph_stays_unit():
@@ -154,3 +158,59 @@ def test_isomorphism_disconnected_pair():
     es = set(shuffled.edges)
     for u, v in two_triangles.edges:
         assert (min(phi[u], phi[v]), max(phi[u], phi[v])) in es
+
+
+FAMILY_GRAPHS = {
+    "petersen": petersen,
+    "hosi": hoffman_singleton,
+    "kbip(3,3)": lambda: complete_bipartite(3, 3),
+    "kbip(4,4)": lambda: complete_bipartite(4, 4),
+    "pg2(q=2)": lambda: incidence_pg2(2).graph,
+    "pg2(q=3)": lambda: incidence_pg2(3).graph,
+    "pg2(q=4)": lambda: incidence_pg2(4).graph,
+    "w3(q=2)": lambda: incidence_w3(2).graph,
+    "w3(q=3)": lambda: incidence_w3(3).graph,
+    "cycle(9)": lambda: cycle(9),
+    "hexagon(q=2)": lambda: incidence_hexagon(2).graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_GRAPHS))
+def test_search_order_matches_blind_chain(name):
+    """The order the search reports (the product of its level orbit sizes)
+    against Schreier-Sims on the same generators with no order given, on a
+    seeded relabeling so the anchor path is not the constructor's."""
+    g = FAMILY_GRAPHS[name]()
+    perm = list(range(g.n))
+    random.Random(name).shuffle(perm)
+    h = Graph(g.n, [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges])
+    G = automorphism_group(h)
+    assert build_chain(h.n, G.raw_generators).order() == G.order()
+
+
+def _lifted_groups():
+    yield "2", automorphism_group(petersen()), petersen()
+    w32 = incidence_w3(2).graph
+    yield "5(q=2)", automorphism_group(w32), w32
+    yield "neg-w3(q=2)-pgl", chamber_groups_on_w32()["pgl"], w32
+
+
+def test_lifted_chain_equals_blind_chain():
+    """A lift carries the base group's order; the chain it builds with it
+    is the blind chain, field by field."""
+    for row, G, g in _lifted_groups():
+        _, smap = subdivision(g)
+        lifted = lift_group(G, smap)
+        known = lifted.chain()
+        blind = build_chain(lifted.degree, lifted.raw_generators)
+        assert known.order() == blind.order() == G.order(), row
+        assert known.base == blind.base, row
+        assert known.sgd == blind.sgd, row
+        assert known.trans == blind.trans, row
+        assert known.inv == blind.inv, row
+
+
+def test_wrong_known_order_raises():
+    s5 = PermGroup(5, symmetric_group(5).generators, order=240)
+    with pytest.raises(GroupError):
+        s5.order()

@@ -119,6 +119,16 @@ def test_check_ldt_pgl_recipe_fails(capsys):
     assert rep["first_failure"]["orbit_sizes"] == [8, 8]
 
 
+def test_recipe_full_is_the_default_and_unknown_recipe_exit4(capsys):
+    base = ("check-ldt", "petersen", "--s", "2", "--format", "tsv")
+    code, default, _ = run_cli(capsys, *base)
+    assert code == 0
+    assert run_cli(capsys, *base, "--recipe", "full")[:2] == (0, default)
+    # a list value is one TSV field holding its JSON text
+    assert '\nrepresentatives\t[{"vertex": 0, ' in default
+    assert run_cli(capsys, *base, "--recipe", "nope")[0] == 4
+
+
 def test_check_ldt_bad_generators_exit4(tmp_path, capsys):
     gens = tmp_path / "bad.txt"
     gens.write_text("10 1\n1 0 2 3 4 5 6 7 8 9\n")

@@ -9,6 +9,7 @@ from locdt.perms import (
     PermGroup,
     Permutation,
     alternating_group,
+    build_chain,
     cyclic_group,
     dihedral_group,
     on_tuples,
@@ -406,5 +407,18 @@ def test_orbit_primitives_agree_with_sympy():
         degree = S.transitivity_degree
         for k in range(1, min(3, n) + 1):
             assert G.is_k_transitive(k) == (degree >= k)
+
+        assert G.order() == S.order()
+        probe = data.draw(st.permutations(range(n)))
+        assert (Permutation(probe) in G) == S.contains(SPerm(probe))
+        x = data.draw(st.integers(0, n - 1))
+        assert G.stabilizer(x).order() == S.stabilizer(x).order()
+        assert G.derived_subgroup().order() == S.derived_subgroup().order()
+
+        # a chain built with the true order is the blind chain
+        known = PermGroup(n, G.generators, order=S.order()).chain()
+        blind = build_chain(n, G.raw_generators)
+        assert (known.base, known.sgd, known.trans) == (
+            blind.base, blind.sgd, blind.trans)
 
     check()
