@@ -5,8 +5,13 @@ The search fixes one anchor path (always branching on the first vertex of
 the first smallest non-singleton cell), then looks for automorphisms mapping
 the anchor prefix onto sibling branches.  Pruning uses refinement trace
 hashes plus the orbits of the automorphisms found so far, so sibling
-branches inside an orbit are never explored twice.  No canonical form is
-exposed; isomorphism testing runs the same search on the disjoint union.
+branches inside an orbit are never explored twice.  Failures prune by orbit
+as well: a sibling with no leaf equivalent to the anchor leaf has none
+anywhere in its orbit under the automorphisms that fix the prefix, so that
+whole orbit is skipped (McKay & Piperno, "Practical graph isomorphism, II",
+2014).  The skipped searches would all fail, so the generators found are
+the same as without this pruning.  No canonical form is exposed;
+isomorphism testing runs the same search on the disjoint union.
 """
 
 from collections import deque
@@ -186,19 +191,26 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
             if all(p[node2["branch"]] == node2["branch"] for node2 in anchor[:depth])
         ]
         orbit = orbit_closure(level_gens, [branch])
+        # siblings with no mapped leaf, closed under level_gens: an image of
+        # a failed sibling under an automorphism fixing the prefix fails too
+        failed = set()
         for v in node["target"][1:]:
-            if v in orbit:
+            if v in orbit or v in failed:
                 continue
             child_cells, child_trace = _individualize(adj, node["cells"], node["pos"], v)
-            if hash(child_trace) != anchor_traces[depth]:
+            found = None
+            if hash(child_trace) == anchor_traces[depth]:
+                found = find_mapped_leaf(child_cells, depth + 1)
+            if found is None:
+                failed |= orbit_closure(level_gens, [v])
                 continue
-            found = find_mapped_leaf(child_cells, depth + 1)
-            if found is not None:
-                gens.append(found)
-                level_gens.append(found)
-                orbit = orbit_closure(level_gens, orbit)
-        # every sibling outside the orbit was searched exhaustively, so this
-        # is the whole orbit of the prefix stabilizer: |Aut| is the product
+            gens.append(found)
+            level_gens.append(found)
+            orbit = orbit_closure(level_gens, orbit)
+            failed = orbit_closure(level_gens, failed)
+        # every sibling outside the orbit was searched exhaustively or lies
+        # in the orbit of one that was, so this is the whole orbit of the
+        # prefix stabilizer: |Aut| is the product
         order *= len(orbit)
     return PermGroup(g.n, [Permutation(p) for p in gens], order=order)
 

@@ -195,20 +195,20 @@ def chamber_groups_on_w32():
 
 
 def _select_group(case, g):
-    """Group per the case rule; returns (group, info dict)."""
+    """Group per the case rule; returns (group, info dict, LDT result).  The
+    LDT result is the group's full-depth run on the subdivision graph when
+    the rule has already made it, and None otherwise."""
     rule = case.group_rule
     if rule == "full":
         G = automorphism_group(g)
-        return G, {"rule": rule, "order": G.order()}
+        return G, {"rule": rule, "order": G.order()}, None
     if rule == "index2-sdt-pick":
         full = automorphism_group(g)
         subs = full.index2_subgroups_over_derived()
         sub, smap = subdivision(g)
         depth = diameter(sub)
-        verdicts = []
-        for H in subs:
-            lifted = lift_group(H, smap)
-            verdicts.append(check_local_sdt(sub, lifted, depth).verdict)
+        results = [check_local_sdt(sub, lift_group(H, smap), depth) for H in subs]
+        verdicts = [r.verdict for r in results]
         passing = [i for i, v in enumerate(verdicts) if v]
         if len(passing) != 1:
             raise GroupError(
@@ -223,11 +223,11 @@ def _select_group(case, g):
             "derived_order": full.order() // 4,
             "index2_orders": [H.order() for H in subs],
             "index2_verdicts": verdicts,
-        }
+        }, results[passing[0]]
     if rule.startswith("chamber-"):
         name = rule.split("-", 1)[1]
         G = chamber_groups_on_w32()[name]
-        return G, {"rule": rule, "order": G.order()}
+        return G, {"rule": rule, "order": G.order()}, None
     if rule == "noswap":
         # bipart-preserving subgroup of the K_{n,n} wreath group
         n = case.params[0]
@@ -237,7 +237,7 @@ def _select_group(case, g):
             gens.append(Permutation.from_cycles(2 * n, [tuple(pts[:2])]))
             gens.append(Permutation.from_cycles(2 * n, [tuple(pts)]))
         G = PermGroup(2 * n, gens)
-        return G, {"rule": rule, "order": G.order()}
+        return G, {"rule": rule, "order": G.order()}, None
     raise ValueError(f"unknown group rule {case.group_rule!r}")
 
 
@@ -257,10 +257,12 @@ def verify_case(case):
         if got[key] != want:
             failures.append(f"{key}: expected {want}, got {got[key]}")
 
-    group, group_info = _select_group(case, g)
-    sub, smap = subdivision(g)
-    lifted = lift_group(group, smap)
-    ldt_full = check_local_sdt(sub, lifted, rep.subdivision_diameter)
+    group, group_info, ldt_full = _select_group(case, g)
+    if ldt_full is None:
+        sub, smap = subdivision(g)
+        ldt_full = check_local_sdt(
+            sub, lift_group(group, smap), rep.subdivision_diameter
+        )
     ldt_2d = ldt_full.at_depth(2 * rep.diameter)
     if ldt_2d.verdict != ldt_full.verdict:
         failures.append(
@@ -317,7 +319,7 @@ def _noswap_case_report():
     case = CaseSpec("neg-k33-noswap", "kbip", (3, 3), (6, 4, 2, 4), "noswap",
                     expect_pass=False)
     g = build_constructor(case.constructor, case.params)
-    group, info = _select_group(case, g)
+    group, info, _ = _select_group(case, g)
     star = condition_star(group, 3)
     failures = []
     if star.satisfied:

@@ -194,9 +194,12 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     ``base_prefix`` forces the first base points (used for stabilizers);
     further base points are the smallest point moved by the generator that
     needs them.  ``known_order`` allows an early exit once the transversal
-    product reaches the target, which makes base changes cheap.  The product
-    reaches the true order only on a complete chain, so the exit leaves the
-    chain unchanged; a chain of any other order raises GroupError.
+    product reaches the target, which makes base changes cheap; it must be
+    the exact order.  The product reaches the true order only on a complete
+    chain, so the exit leaves the chain unchanged.  A wrong order raises
+    GroupError only when the chain never reaches it: a smaller order that
+    the product hits on the way up stops the build early, unnoticed, with an
+    incomplete chain.
     """
     ident = _identity(degree)
     gens = [g for g in gens if g != ident]

@@ -1,8 +1,10 @@
+import hashlib
 import random
 from itertools import permutations
 
 import pytest
 
+from locdt import autgrp
 from locdt.autgrp import (
     Coloring,
     LimitError,
@@ -175,17 +177,82 @@ FAMILY_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FAMILY_GRAPHS))
-def test_search_order_matches_blind_chain(name):
-    """The order the search reports (the product of its level orbit sizes)
-    against Schreier-Sims on the same generators with no order given, on a
-    seeded relabeling so the anchor path is not the constructor's."""
+def _relabeled(name):
+    """A family graph under a relabeling seeded by its name, so the anchor
+    path is not the constructor's."""
     g = FAMILY_GRAPHS[name]()
     perm = list(range(g.n))
     random.Random(name).shuffle(perm)
-    h = Graph(g.n, [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges])
+    return Graph(g.n, [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges])
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_GRAPHS))
+def test_search_order_matches_blind_chain(name):
+    """The order the search reports (the product of its level orbit sizes)
+    against Schreier-Sims on the same generators with no order given."""
+    h = _relabeled(name)
     G = automorphism_group(h)
     assert build_chain(h.n, G.raw_generators).order() == G.order()
+
+
+# sha256 of repr(G.raw_generators), recorded before failure-orbit pruning:
+# pruning skips only searches that fail, so it must not change a generator
+SEARCH_GENERATORS_SHA256 = {
+    "w3(q=3)": "cb307cba2308e2f3bff28b7265e77d2b8d7180ef18ade6f07f42e592e5e4da40",
+    "pg2(q=4)": "244c3ed06c05e9acf2030b78471a0406496fdcd2e7c414bb03838f6ac1748857",
+    "hosi": "c150b1468cd27ca3bbcb8a5fafa16a0a47998c9d97e92dea4e28fe5e119f4f03",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_GENERATORS_SHA256))
+def test_search_generators_are_pinned(name):
+    G = automorphism_group(_relabeled(name))
+    digest = hashlib.sha256(repr(G.raw_generators).encode()).hexdigest()
+    assert digest == SEARCH_GENERATORS_SHA256[name]
+
+
+def test_failure_orbits_prune_the_w33_search(monkeypatch):
+    """Without failure-orbit pruning the W(3,3) search individualizes
+    27 637 times; with it, 766."""
+    calls = []
+    real = autgrp._individualize
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(autgrp, "_individualize", counted)
+    assert automorphism_group(incidence_w3(3).graph).order() == 51840
+    assert len(calls) <= 2000
+
+
+def _shrikhande():
+    """Cayley graph of Z4 x Z4 with connection set +-(1,0), +-(0,1), +-(1,1)."""
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    return Graph(16, [
+        (u, v) for u in range(16) for v in range(u + 1, 16)
+        if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps
+    ])
+
+
+def _rook_4x4():
+    """K4 x K4: cells of a 4 x 4 board, adjacent when in one row or column."""
+    return Graph(16, [
+        (u, v) for u in range(16) for v in range(u + 1, 16)
+        if (u // 4 == v // 4) != (u % 4 == v % 4)
+    ])
+
+
+def test_isomorphism_absent_between_connected_srg16():
+    """Both are srg(16,6,2,2), so refinement of the union splits nothing
+    and the connected-union search must let every swapping sibling fail."""
+    shrikhande, rook = _shrikhande(), _rook_4x4()
+    assert shrikhande.degrees == rook.degrees == (6,) * 16
+    assert refine(shrikhande, unit_coloring(shrikhande)).cells == (tuple(range(16)),)
+    assert automorphism_group(shrikhande).order() == 192
+    assert automorphism_group(rook).order() == 1152
+    assert isomorphism(shrikhande, rook) is None
+    assert isomorphism(rook, shrikhande) is None
 
 
 def _lifted_groups():

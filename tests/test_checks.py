@@ -287,7 +287,7 @@ def test_ldt_at_depth_matches_direct_run(row):
     # 8(n=7) is an odd cycle, where D = 2d + 1
     case = next(c for c in CASES + NEGATIVE_CASES if c.row == row)
     g = build_constructor(case.constructor, case.params)
-    G, _ = _select_group(case, g)
+    G, _, _ = _select_group(case, g)
     sub, smap = subdivision(g)
     lifted = lift_group(G, smap)
     D = diameter(sub)

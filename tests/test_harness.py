@@ -49,10 +49,22 @@ def test_verify_case_row1_group_orders():
     assert rep4["condition_star"]["satisfied"]
 
 
-def test_verify_case_row6_discrimination():
+def test_verify_case_row6_discrimination(monkeypatch):
+    import locdt.harness as harness
+
+    runs = []
+    real = harness.check_local_sdt
+
+    def counted(*args):
+        runs.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "check_local_sdt", counted)
     case = next(c for c in CASES if c.row == "6")
     rep = verify_case(case)
     assert rep["passed"]
+    # one depth-8 pass per index-2 subgroup; the chosen one's is reused
+    assert runs == [8, 8, 8]
     info = rep["group"]
     assert info["full_order"] == 1440
     assert info["derived_order"] == 360
