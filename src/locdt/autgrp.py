@@ -3,22 +3,24 @@ individualization.
 
 The search fixes one anchor path (always branching on the first vertex of
 the first smallest non-singleton cell), then looks for automorphisms mapping
-the anchor prefix onto sibling branches.  Pruning uses refinement trace
-hashes plus the orbits of the automorphisms found so far, so sibling
+the anchor prefix onto sibling branches.  Pruning uses refinement traces
+plus the orbits of the automorphisms found so far, so sibling
 branches inside an orbit are never explored twice.  Failures prune by orbit
 as well: a sibling with no leaf equivalent to the anchor leaf has none
 anywhere in its orbit under the automorphisms that fix the prefix, so that
 whole orbit is skipped (McKay & Piperno, "Practical graph isomorphism, II",
 2014).  The skipped searches would all fail, so the generators found are
-the same as without this pruning.  No canonical form is exposed;
-isomorphism testing runs the same search on the disjoint union.
+the same as without this pruning.  No canonical form is exposed:
+isomorphism testing searches g2's tree for a leaf with the traces of g1's
+anchor path, by the same leaf search and the same orbit pruning.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .perms import Permutation, PermGroup, orbit_closure
-from .graphs import Graph, automorphism_failure, components
+from .graphs import components, isomorphism_failure
 
 DEFAULT_VERTEX_LIMIT = 4096
 
@@ -122,6 +124,50 @@ def _leaf_order(cells):
     return tuple(c[0] for c in cells)
 
 
+def _anchor_path(adj, cells):
+    """Levels (cells, branch cell position), child traces and leaf order of
+    the path from ``cells`` that branches on each target cell's first vertex."""
+    path, traces = [], []
+    while True:
+        pos = _target_cell(cells)
+        if pos < 0:
+            return path, traces, _leaf_order(cells)
+        path.append((cells, pos))
+        cells, trace = _individualize(adj, cells, pos, cells[pos][0])
+        traces.append(trace)
+
+
+def _prefix_gens(gens, path, depth):
+    """The generators fixing the branch vertices above ``depth``."""
+    prefix = [cells[pos][0] for cells, pos in path[:depth]]
+    return [p for p in gens if all(p[b] == b for b in prefix)]
+
+
+def _leaf_map(g1, leaf1, g2, leaf2):
+    """The map leaf1 -> leaf2 if it is an isomorphism g1 -> g2, else None."""
+    mapping = [0] * len(leaf1)
+    for a, c in zip(leaf1, leaf2):
+        mapping[a] = c
+    return tuple(mapping) if isomorphism_failure(g1, g2, mapping) is None else None
+
+
+def find_mapped_leaf(adj, cells, pos, v, traces, depth, accept):
+    """Individualize ``v`` in cell ``pos`` of the level-``depth`` node
+    ``cells``; below it, the first leaf repeating ``traces`` from ``depth``
+    on that ``accept`` maps to a value other than None gives the result."""
+    cells, trace = _individualize(adj, cells, pos, v)
+    if trace != traces[depth]:
+        return None
+    if depth + 1 == len(traces):
+        return accept(_leaf_order(cells))
+    pos = _target_cell(cells)
+    for w in cells[pos]:
+        found = find_mapped_leaf(adj, cells, pos, w, traces, depth + 1, accept)
+        if found is not None:
+            return found
+    return None
+
+
 def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
     """Generators of the colour-preserving automorphism group, which carries
     its order: the product of the orbit sizes along the anchor path."""
@@ -131,76 +177,23 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
     if coloring is None:
         coloring = unit_coloring(g)
     cells0, _ = _refine(adj, [list(c) for c in coloring.cells])
-
-    # anchor path: at each level remember the cells, the branch cell/vertex
-    # and the child's refinement trace
-    anchor = []
-    cells = cells0
-    while True:
-        pos = _target_cell(cells)
-        if pos < 0:
-            break
-        target = list(cells[pos])
-        b = target[0]
-        child_cells, child_trace = _individualize(adj, cells, pos, b)
-        anchor.append(
-            {
-                "cells": cells,
-                "pos": pos,
-                "branch": b,
-                "target": target,
-                "trace": hash(child_trace),
-            }
-        )
-        cells = child_cells
-    anchor_leaf = _leaf_order(cells)
-    anchor_traces = [node["trace"] for node in anchor]
+    path, traces, leaf = _anchor_path(adj, cells0)
+    accept = partial(_leaf_map, g, leaf, g)
 
     gens = []
     order = 1
-
-    def find_mapped_leaf(cells, depth):
-        """Search below a sibling branch for one automorphism onto the
-        anchor leaf; depth indexes the next anchor level."""
-        if depth == len(anchor):
-            if all(len(c) == 1 for c in cells):
-                mapping = [0] * len(anchor_leaf)
-                for a, c in zip(anchor_leaf, _leaf_order(cells)):
-                    mapping[a] = c
-                if automorphism_failure(g, mapping) is None:
-                    return tuple(mapping)
-            return None
-        pos = _target_cell(cells)
-        if pos < 0:
-            return None
-        for w in cells[pos]:
-            child_cells, child_trace = _individualize(adj, cells, pos, w)
-            if hash(child_trace) != anchor_traces[depth]:
-                continue
-            found = find_mapped_leaf(child_cells, depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    for depth, node in enumerate(anchor):
-        branch = node["branch"]
+    for depth, (cells, pos) in enumerate(path):
         # orbit of the branch vertex under generators fixing the prefix;
         # generators found at deeper levels fix it, so level order is safe
-        level_gens = [
-            p for p in gens
-            if all(p[node2["branch"]] == node2["branch"] for node2 in anchor[:depth])
-        ]
-        orbit = orbit_closure(level_gens, [branch])
+        level_gens = _prefix_gens(gens, path, depth)
+        orbit = orbit_closure(level_gens, [cells[pos][0]])
         # siblings with no mapped leaf, closed under level_gens: an image of
         # a failed sibling under an automorphism fixing the prefix fails too
         failed = set()
-        for v in node["target"][1:]:
+        for v in cells[pos][1:]:
             if v in orbit or v in failed:
                 continue
-            child_cells, child_trace = _individualize(adj, node["cells"], node["pos"], v)
-            found = None
-            if hash(child_trace) == anchor_traces[depth]:
-                found = find_mapped_leaf(child_cells, depth + 1)
+            found = find_mapped_leaf(adj, cells, pos, v, traces, depth, accept)
             if found is None:
                 failed |= orbit_closure(level_gens, [v])
                 continue
@@ -215,38 +208,49 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
     return PermGroup(g.n, [Permutation(p) for p in gens], order=order)
 
 
-def _quick_invariants(g):
-    return (g.n, g.m, tuple(sorted(g.degrees)))
-
-
 def isomorphism(g1, g2, limit=DEFAULT_VERTEX_LIMIT):
     """A vertex bijection g1 -> g2 preserving adjacency, or None.
 
-    Runs the automorphism search on the disjoint union; absence is certified
-    because the completed search would contain any component swap.
+    Searches g2's tree, deepest level first, for a leaf repeating the traces
+    of g1's anchor path, one sibling per orbit of Aut(g2)'s prefix
+    stabilizer, and checks each leaf map edge by edge.  The isomorphisms
+    taking g1's anchor prefix onto g2's send the next anchor vertex into one
+    such orbit, so None is certified once all fail.  Disconnected graphs are matched
+    component by component: on them the search can take exponential time.
+    So can a hub joined by one edge to each of k >= 4 Shrikhande graphs,
+    against the same with a 4 x 4 rook's graph in place of one.
     """
     if g1.n > limit or g2.n > limit:
         raise LimitError(f"graph size exceeds limit {limit}")
-    if _quick_invariants(g1) != _quick_invariants(g2):
+    if g1.n == 0 or not (g1.is_connected() and g2.is_connected()):
+        return _isomorphism_components(g1, g2, limit)
+    adj1, adj2 = g1.adjacency, g2.adjacency
+    cells1, root1 = _refine(adj1, [list(range(g1.n))])
+    cells2, root2 = _refine(adj2, [list(range(g2.n))])
+    if root1 != root2:
         return None
-    if g1.n == 0:
-        return ()
-    if g1.is_connected() and g2.is_connected():
-        return _isomorphism_connected(g1, g2)
-    return _isomorphism_components(g1, g2, limit)
-
-
-def _isomorphism_connected(g1, g2):
-    n1 = g1.n
-    edges = list(g1.edges) + [(u + n1, v + n1) for u, v in g2.edges]
-    union = Graph(n1 + g2.n, edges)
-    A = automorphism_group(union, limit=union.n)
-    trans = A.orbit_transversal(0)
-    for point in sorted(trans):
-        if point >= n1:
-            gamma = trans[point]
-            mapping = tuple(gamma.images[i] - n1 for i in range(n1))
-            return mapping
+    _, traces1, leaf1 = _anchor_path(adj1, cells1)
+    path2, traces2, leaf2 = _anchor_path(adj2, cells2)
+    accept = partial(_leaf_map, g1, leaf1, g2)
+    if traces2 == traces1:
+        found = accept(leaf2)
+        if found is not None:
+            return found
+    gens = automorphism_group(g2).raw_generators
+    for depth in reversed(range(len(path2))):
+        if traces2[:depth] != traces1[:depth]:  # below a mismatched node
+            continue
+        cells, pos = path2[depth]
+        # the branch's own subtree is searched already, so its orbit fails
+        level_gens = _prefix_gens(gens, path2, depth)
+        failed = orbit_closure(level_gens, [cells[pos][0]])
+        for v in cells[pos][1:]:
+            if v in failed:
+                continue
+            found = find_mapped_leaf(adj2, cells, pos, v, traces1, depth, accept)
+            if found is not None:
+                return found
+            failed |= orbit_closure(level_gens, [v])
     return None
 
 
@@ -259,18 +263,15 @@ def _isomorphism_components(g1, g2, limit):
     used = [False] * len(comps2)
     for verts1 in comps1:
         sub1 = g1.relabeled(verts1)
-        placed = False
         for j, verts2 in enumerate(comps2):
             if used[j] or len(verts2) != len(verts1):
                 continue
-            sub2 = g2.relabeled(verts2)
-            sub_map = isomorphism(sub1, sub2, limit)
+            sub_map = isomorphism(sub1, g2.relabeled(verts2), limit)
             if sub_map is not None:
-                for a, b in zip(verts1, (verts2[i] for i in sub_map)):
-                    mapping[a] = b
+                for a, i in zip(verts1, sub_map):
+                    mapping[a] = verts2[i]
                 used[j] = True
-                placed = True
                 break
-        if not placed:
+        else:
             return None
     return tuple(mapping)

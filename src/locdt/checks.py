@@ -15,10 +15,10 @@ from .geometry import complete, complete_bipartite
 from .graphs import (
     INF,
     GraphError,
-    automorphism_failure,
     bfs_distances,
     diameter,
     girth,
+    isomorphism_failure,
     lift_group,
     moore_bound,
     subdivision,
@@ -40,7 +40,7 @@ def _check_generators_are_automorphisms(g, G):
     if G.degree != g.n:
         raise GroupError(f"group degree {G.degree} does not match graph n={g.n}")
     for p in G.generators:
-        u = automorphism_failure(g, p.images)
+        u = isomorphism_failure(g, g, p.images)
         if u is not None:
             raise GroupError(
                 f"generator {p!r} is not an automorphism (fails at vertex {u})"

@@ -365,13 +365,13 @@ def components(g):
     return out
 
 
-def automorphism_failure(g, images):
-    """First vertex whose neighbourhood ``images`` does not map onto the
-    neighbourhood of its image, or None when ``images`` is an automorphism
-    of ``g``."""
-    adj = g.adjacency
-    for u in range(g.n):
-        if tuple(sorted(images[w] for w in adj[u])) != adj[images[u]]:
+def isomorphism_failure(g, h, images):
+    """First vertex of ``g`` whose neighbourhood ``images`` does not map
+    onto the neighbourhood of its image in ``h``, or None when the bijection
+    ``images`` is an isomorphism g -> h (an automorphism when h is g)."""
+    adj = h.adjacency
+    for u, nbrs in enumerate(g.adjacency):
+        if tuple(sorted(images[w] for w in nbrs)) != adj[images[u]]:
             return u
     return None
 

@@ -26,7 +26,6 @@ from .graphs import (
     Graph,
     analyze,
     bfs_distances,
-    diameter,
     lift_group,
     lift_to_subdivision,
     subdivision,
@@ -194,9 +193,9 @@ def chamber_groups_on_w32():
     }
 
 
-def _select_group(case, g):
+def _select_group(case, g, sub, smap, depth):
     """Group per the case rule; returns (group, info dict, LDT result).  The
-    LDT result is the group's full-depth run on the subdivision graph when
+    LDT result is the group's run on ``sub`` at its diameter ``depth`` when
     the rule has already made it, and None otherwise."""
     rule = case.group_rule
     if rule == "full":
@@ -205,8 +204,6 @@ def _select_group(case, g):
     if rule == "index2-sdt-pick":
         full = automorphism_group(g)
         subs = full.index2_subgroups_over_derived()
-        sub, smap = subdivision(g)
-        depth = diameter(sub)
         results = [check_local_sdt(sub, lift_group(H, smap), depth) for H in subs]
         verdicts = [r.verdict for r in results]
         passing = [i for i, v in enumerate(verdicts) if v]
@@ -257,12 +254,11 @@ def verify_case(case):
         if got[key] != want:
             failures.append(f"{key}: expected {want}, got {got[key]}")
 
-    group, group_info, ldt_full = _select_group(case, g)
+    sub, smap = subdivision(g)
+    D = rep.subdivision_diameter
+    group, group_info, ldt_full = _select_group(case, g, sub, smap, D)
     if ldt_full is None:
-        sub, smap = subdivision(g)
-        ldt_full = check_local_sdt(
-            sub, lift_group(group, smap), rep.subdivision_diameter
-        )
+        ldt_full = check_local_sdt(sub, lift_group(group, smap), D)
     ldt_2d = ldt_full.at_depth(2 * rep.diameter)
     if ldt_2d.verdict != ldt_full.verdict:
         failures.append(
@@ -319,7 +315,7 @@ def _noswap_case_report():
     case = CaseSpec("neg-k33-noswap", "kbip", (3, 3), (6, 4, 2, 4), "noswap",
                     expect_pass=False)
     g = build_constructor(case.constructor, case.params)
-    group, info, _ = _select_group(case, g)
+    group, info, _ = _select_group(case, g, None, None, None)
     star = condition_star(group, 3)
     failures = []
     if star.satisfied:

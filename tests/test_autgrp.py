@@ -135,6 +135,14 @@ def test_vertex_limit():
         automorphism_group(petersen(), limit=5)
 
 
+def _is_isomorphism(g1, g2, phi):
+    """Edge-by-edge check that ``phi`` is a bijection g1 -> g2 carrying the
+    edge set of g1 onto that of g2."""
+    return sorted(phi) == list(range(g2.n)) and {
+        tuple(sorted((phi[u], phi[v]))) for u, v in g1.edges
+    } == set(g2.edges)
+
+
 def test_isomorphism_relabelled_cycle():
     g1 = cycle(6)
     relab = [3, 0, 4, 1, 5, 2]
@@ -142,8 +150,7 @@ def test_isomorphism_relabelled_cycle():
     g2 = Graph(6, edges)
     phi = isomorphism(g1, g2)
     assert phi is not None
-    for u, v in g1.edges:
-        assert (min(phi[u], phi[v]), max(phi[u], phi[v])) in set(g2.edges)
+    assert _is_isomorphism(g1, g2, phi)
 
 
 def test_isomorphism_absent():
@@ -157,9 +164,67 @@ def test_isomorphism_disconnected_pair():
     shuffled = Graph(6, [(1, 3), (3, 5), (1, 5), (0, 2), (2, 4), (0, 4)])
     phi = isomorphism(two_triangles, shuffled)
     assert phi is not None
-    es = set(shuffled.edges)
-    for u, v in two_triangles.edges:
-        assert (min(phi[u], phi[v]), max(phi[u], phi[v])) in es
+    assert _is_isomorphism(two_triangles, shuffled, phi)
+    assert isomorphism(Graph(0, []), Graph(0, [])) == ()
+    assert isomorphism(Graph(0, []), Graph(1, [])) is None
+    assert isomorphism(Graph(1, []), Graph(0, [])) is None
+
+
+def test_isomorphism_agrees_with_networkx():
+    """Random graphs of at most 14 vertices, connected or made of repeated
+    components, against a relabeled copy or a near-miss: the copy after one
+    degree-preserving double-edge swap."""
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def graphs(draw):
+        n, edges = 0, []
+        while n < 14 and (n == 0 or draw(st.booleans())):
+            k = draw(st.integers(1, 14 - n))
+            degrees = [d for d in range(2, k) if k * d % 2 == 0]
+            if degrees and draw(st.booleans()):
+                # regular parts give the refinement nothing to split, so the
+                # anchor paths of g1 and g2 part early
+                d, seed = draw(st.sampled_from(degrees)), draw(st.integers(0, 2**32 - 1))
+                part = set(nx.random_regular_graph(d, k, seed=seed).edges)
+            else:
+                part = set()
+                if draw(st.booleans()):  # a spanning tree: the part is connected
+                    part = {(draw(st.integers(0, v - 1)), v) for v in range(1, k)}
+                if k > 1:
+                    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+                    part |= draw(st.sets(st.sampled_from(pairs)))
+            for _ in range(draw(st.integers(1, (14 - n) // k))):
+                edges += [(u + n, v + n) for u, v in part]
+                n += k
+        return Graph(n, edges)
+
+    def as_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(), st.randoms(use_true_random=False), st.booleans())
+    def check(g1, rnd, near_miss):
+        perm = list(range(g1.n))
+        rnd.shuffle(perm)
+        edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g1.edges}
+        if near_miss and len(edges) >= 2:
+            (a, b), (c, d) = rnd.sample(sorted(edges), 2)
+            swapped = {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+            if len({a, b, c, d}) == 4 and not swapped & edges:
+                edges = (edges - {(a, b), (c, d)}) | swapped
+        g2 = Graph(g1.n, edges)
+        phi = isomorphism(g1, g2)
+        assert (phi is not None) == nx.is_isomorphic(as_nx(g1), as_nx(g2))
+        if phi is not None:
+            assert _is_isomorphism(g1, g2, phi)
+
+    check()
 
 
 FAMILY_GRAPHS = {
@@ -177,13 +242,16 @@ FAMILY_GRAPHS = {
 }
 
 
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges])
+
+
 def _relabeled(name):
     """A family graph under a relabeling seeded by its name, so the anchor
     path is not the constructor's."""
-    g = FAMILY_GRAPHS[name]()
-    perm = list(range(g.n))
-    random.Random(name).shuffle(perm)
-    return Graph(g.n, [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges])
+    return _shuffled(FAMILY_GRAPHS[name](), name)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_GRAPHS))
@@ -244,8 +312,8 @@ def _rook_4x4():
 
 
 def test_isomorphism_absent_between_connected_srg16():
-    """Both are srg(16,6,2,2), so refinement of the union splits nothing
-    and the connected-union search must let every swapping sibling fail."""
+    """Both are srg(16,6,2,2), so their root refinements agree and the
+    directed search must let every sibling fail."""
     shrikhande, rook = _shrikhande(), _rook_4x4()
     assert shrikhande.degrees == rook.degrees == (6,) * 16
     assert refine(shrikhande, unit_coloring(shrikhande)).cells == (tuple(range(16)),)
@@ -281,3 +349,47 @@ def test_wrong_known_order_raises():
     s5 = PermGroup(5, symmetric_group(5).generators, order=240)
     with pytest.raises(GroupError):
         s5.order()
+
+
+def _individualize_budget(monkeypatch, limit):
+    """Count ``_individualize`` calls and raise past ``limit``, so a search
+    that would run for hours fails at once."""
+    calls = []
+    real = autgrp._individualize
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} individualizations")
+        return real(*args)
+
+    monkeypatch.setattr(autgrp, "_individualize", counted)
+
+
+@pytest.mark.parametrize("name", ["hosi", "pg2(q=4)"])
+def test_isomorphism_of_large_symmetric_graphs_is_cheap(monkeypatch, name):
+    """The search of the disjoint union missed a 10 s deadline on these;
+    the directed search makes fewer than 200 individualizations."""
+    g, h = FAMILY_GRAPHS[name](), _relabeled(name)
+    _individualize_budget(monkeypatch, 2000)
+    phi = isomorphism(g, h)
+    assert phi is not None and _is_isomorphism(g, h, phi)
+
+
+def _disjoint_union(*parts):
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return Graph(n, edges)
+
+
+def test_isomorphism_splits_disconnected_graphs(monkeypatch):
+    """4 x Shrikhande against 3 x Shrikhande + rook's graph, relabeled:
+    matched component by component in under 200 individualizations.  The
+    directed search on the whole graphs ran for over a minute on this pair."""
+    shrikhande = _shrikhande()
+    g1 = _disjoint_union(*[shrikhande] * 4)
+    g2 = _shuffled(_disjoint_union(*[shrikhande] * 3, _rook_4x4()), "srg16")
+    _individualize_budget(monkeypatch, 1000)
+    assert isomorphism(g1, g2) is None

@@ -287,10 +287,10 @@ def test_ldt_at_depth_matches_direct_run(row):
     # 8(n=7) is an odd cycle, where D = 2d + 1
     case = next(c for c in CASES + NEGATIVE_CASES if c.row == row)
     g = build_constructor(case.constructor, case.params)
-    G, _, _ = _select_group(case, g)
     sub, smap = subdivision(g)
-    lifted = lift_group(G, smap)
     D = diameter(sub)
+    G, _, _ = _select_group(case, g, sub, smap, D)
+    lifted = lift_group(G, smap)
     full = check_local_sdt(sub, lifted, D)
     for s in range(1, D + 1):
         cut, direct = full.at_depth(s), check_local_sdt(sub, lifted, s)
