@@ -173,11 +173,18 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
     its order: the product of the orbit sizes along the anchor path."""
     if g.n > limit:
         raise LimitError(f"graph has {g.n} vertices, limit is {limit}")
-    adj = g.adjacency
     if coloring is None:
         coloring = unit_coloring(g)
-    cells0, _ = _refine(adj, [list(c) for c in coloring.cells])
-    path, traces, leaf = _anchor_path(adj, cells0)
+    cells0, _ = _refine(g.adjacency, [list(c) for c in coloring.cells])
+    gens, order = _search_levels(g, *_anchor_path(g.adjacency, cells0))
+    return PermGroup(g.n, [Permutation(p) for p in gens], order=order)
+
+
+def _search_levels(g, path, traces, leaf):
+    """Raw generators and order of the automorphisms of ``g`` that preserve
+    the root cells of the anchor path ``path``, whose child traces and leaf
+    order are ``traces`` and ``leaf`` (as ``_anchor_path`` returns them)."""
+    adj = g.adjacency
     accept = partial(_leaf_map, g, leaf, g)
 
     gens = []
@@ -205,7 +212,7 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
         # in the orbit of one that was, so this is the whole orbit of the
         # prefix stabilizer: |Aut| is the product
         order *= len(orbit)
-    return PermGroup(g.n, [Permutation(p) for p in gens], order=order)
+    return gens, order
 
 
 def isomorphism(g1, g2, limit=DEFAULT_VERTEX_LIMIT):
@@ -236,7 +243,7 @@ def isomorphism(g1, g2, limit=DEFAULT_VERTEX_LIMIT):
         found = accept(leaf2)
         if found is not None:
             return found
-    gens = automorphism_group(g2).raw_generators
+    gens, _ = _search_levels(g2, path2, traces2, leaf2)
     for depth in reversed(range(len(path2))):
         if traces2[:depth] != traces1[:depth]:  # below a mismatched node
             continue

@@ -1,10 +1,11 @@
 """Permutations and finitely generated permutation groups.
 
 The engine is a deterministic (non-randomised) Schreier-Sims construction
-with explicit transversals.  Base points are chosen as the smallest point
-with nontrivial action; together with sorted orbit scans this makes chains,
-orders and element streams reproducible across runs.  Orders are plain
-Python integers, so arbitrary precision comes for free.
+with explicit transversals; a coset representative's inverse is formed only
+when ``sift`` reads it, never stored.  Base points are chosen as the
+smallest point with nontrivial action; together with sorted orbit scans
+this makes chains, orders and element streams reproducible across runs.
+Orders are plain Python integers, so arbitrary precision comes for free.
 """
 
 from collections import deque
@@ -21,10 +22,11 @@ def _mul(p, q):
 
 
 def _inv(p):
+    # a list: _mul indexes it as fast, and sift saves the tuple copy
     out = [0] * len(p)
     for i, j in enumerate(p):
         out[j] = i
-    return tuple(out)
+    return out
 
 
 def _identity(deg):
@@ -76,7 +78,7 @@ class Permutation:
         return Permutation._wrap(_mul(self.images, other.images))
 
     def inverse(self):
-        return Permutation._wrap(_inv(self.images))
+        return Permutation._wrap(tuple(_inv(self.images)))
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
@@ -128,9 +130,8 @@ class OrbitPartition:
 
 
 def _orbit_transversal(deg, gens, root):
-    """BFS orbit with transversal u[p] mapping root -> p, plus inverses."""
+    """BFS orbit with transversal u[p] mapping root -> p."""
     trans = {root: _identity(deg)}
-    inv = {root: _identity(deg)}
     queue = deque([root])
     while queue:
         a = queue.popleft()
@@ -140,23 +141,22 @@ def _orbit_transversal(deg, gens, root):
             if b not in trans:
                 ub = _mul(ua, s)
                 trans[b] = ub
-                inv[b] = _inv(ub)
                 queue.append(b)
-    return trans, inv
+    return trans
 
 
 class _Chain:
-    """Stabilizer chain: base points, per-level strong generators, explicit
-    transversals and their inverses."""
+    """Stabilizer chain: base points, per-level strong generators and
+    explicit transversals.  ``sift`` inverts the coset representatives it
+    reads; no inverse is stored."""
 
-    __slots__ = ("degree", "base", "sgd", "trans", "inv")
+    __slots__ = ("degree", "base", "sgd", "trans")
 
-    def __init__(self, degree, base, sgd, trans, inv):
+    def __init__(self, degree, base, sgd, trans):
         self.degree = degree
         self.base = base
         self.sgd = sgd
         self.trans = trans
-        self.inv = inv
 
     def order(self):
         n = 1
@@ -167,18 +167,19 @@ class _Chain:
     def sift(self, p, start=0):
         """Strip p through levels >= start; returns (residue, drop_level)."""
         for lvl in range(start, len(self.base)):
-            x = p[self.base[lvl]]
-            u_inv = self.inv[lvl].get(x)
-            if u_inv is None:
+            b = self.base[lvl]
+            x = p[b]
+            if x == b:  # the coset representative is the identity
+                continue
+            u = self.trans[lvl].get(x)
+            if u is None:
                 return p, lvl
-            p = _mul(p, u_inv)
+            p = _mul(p, _inv(u))
         return p, len(self.base)
 
     def tail(self):
         """Chain for the stabilizer of the first base point."""
-        return _Chain(
-            self.degree, self.base[1:], self.sgd[1:], self.trans[1:], self.inv[1:]
-        )
+        return _Chain(self.degree, self.base[1:], self.sgd[1:], self.trans[1:])
 
 
 def _smallest_moved(p):
@@ -200,6 +201,11 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     GroupError only when the chain never reaches it: a smaller order that
     the product hits on the way up stops the build early, unnoticed, with an
     incomplete chain.
+
+    Each level stores its transversal and no inverses.  The Schreier
+    generator u_beta s u_{beta^s}^-1 is not formed on its own: ``sift`` of
+    u_beta s from level i reaches it at its first step, and a tree edge
+    sifts to the identity.
     """
     ident = _identity(degree)
     gens = [g for g in gens if g != ident]
@@ -214,46 +220,26 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
         [g for g in gens if all(g[b] == b for b in base[:i])]
         for i in range(len(base))
     ]
-    trans = []
-    inv = []
-    for i in range(len(base)):
-        t, v = _orbit_transversal(degree, sgd[i], base[i])
-        trans.append(t)
-        inv.append(v)
-
-    chain = _Chain(degree, base, sgd, trans, inv)
-
-    def complete():
-        if known_order is None:
-            return False
-        return chain.order() == known_order
+    trans = [_orbit_transversal(degree, sgd[i], base[i]) for i in range(len(base))]
+    chain = _Chain(degree, base, sgd, trans)
 
     i = len(base) - 1
     while i >= 0:
-        if complete():
+        if known_order is not None and chain.order() == known_order:
             break
         restart = False
         for beta in sorted(trans[i]):
-            u_beta = trans[i][beta]
             for s in sgd[i]:
-                gb = s[beta]
-                g1 = _mul(u_beta, s)
-                if g1 == trans[i][gb]:
-                    continue
-                schreier = _mul(g1, inv[i][gb])
-                h, j = chain.sift(schreier, i + 1)
+                h, j = chain.sift(_mul(trans[i][beta], s), i)
                 if h == ident:
                     continue
                 if j == len(base):
                     base.append(_smallest_moved(h))
                     sgd.append([])
                     trans.append({})
-                    inv.append({})
                 for lvl in range(i + 1, j + 1):
                     sgd[lvl].append(h)
-                    t, v = _orbit_transversal(degree, sgd[lvl], base[lvl])
-                    trans[lvl] = t
-                    inv[lvl] = v
+                    trans[lvl] = _orbit_transversal(degree, sgd[lvl], base[lvl])
                 i = j
                 restart = True
                 break
@@ -333,11 +319,6 @@ class PermGroup:
             raise GroupError(f"point {x} out of range")
         return tuple(sorted(orbit_closure(self.raw_generators, [x])))
 
-    def orbit_transversal(self, x):
-        """Orbit of x with one group element per point mapping x there."""
-        trans, _ = _orbit_transversal(self.degree, self.raw_generators, x)
-        return {p: Permutation._wrap(u) for p, u in trans.items()}
-
     def orbits(self):
         """Full orbit partition, representatives in ascending order."""
         gens = self.raw_generators
@@ -396,7 +377,7 @@ class PermGroup:
         gens = self.raw_generators
         ident = _identity(self.degree)
         sub = []
-        chain = _Chain(self.degree, [], [], [], [])
+        chain = _Chain(self.degree, [], [], [])
 
         def try_add(p):
             nonlocal chain

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -211,6 +212,11 @@ def test_check_ldt_trivial_group_fails(tmp_path, capsys):
     assert json.loads(out)["verdict"] is False
 
 
+# sha256 of the default verify-table report: a change that moves any report
+# byte fails here, and one that means to must update the hash and say why
+VERIFY_TABLE_SHA256 = "1032e811590003df553dc8bce41e6f4436c3eee120ada96a6ac8c5efb268df3c"
+
+
 def test_verify_table_cli_and_golden(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, err = run_cli(capsys, "verify-table", "-o", str(out_file))
@@ -218,6 +224,8 @@ def test_verify_table_cli_and_golden(tmp_path, capsys):
     text = out_file.read_text()
     rep = json.loads(text)
     assert rep["verdict"] is True
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == VERIFY_TABLE_SHA256
 
     golden = tmp_path / "golden.json"
     golden.write_text(text)

@@ -309,6 +309,9 @@ def test_stabilizer_matches_bruteforce_random():
         assert stab.order() == len(fixing)
         for p in stab.generators:
             assert p.images in elems and p.images[x] == x
+        # membership sifts through the base-changed chain's tail
+        for e in elems:
+            assert (Permutation(e) in stab) == (e[x] == x)
 
 
 def test_derived_matches_bruteforce_random():
