@@ -300,21 +300,24 @@ class GeometryGraph:
         return len(self.lines)
 
 
+def _incidence_graph(pts, lines, names):
+    """Point/line incidence graph: the points, then one vertex per line
+    (a tuple of point indices), labelled by coordinates and ``names``."""
+    np_ = len(pts)
+    edges = [(i, np_ + j) for j, line in enumerate(lines) for i in line]
+    labels = [f"P{p}" for p in pts] + [f"L{name}" for name in names]
+    g = Graph(np_ + len(lines), edges, labels)
+    return GeometryGraph(g, tuple(pts), tuple(names))
+
+
 def incidence_pg2(q):
     """Incidence graph of the Desarguesian plane PG(2,q): points, then
     lines (as dual coordinate triples), incident when the dot product
     vanishes."""
     field = gf(q)
     pts = projective_points(field, 2)
-    edges = []
-    np_ = len(pts)
-    for i, x in enumerate(pts):
-        for j, a in enumerate(pts):
-            if _dot(field, x, a) == 0:
-                edges.append((i, np_ + j))
-    labels = [f"P{p}" for p in pts] + [f"L{p}" for p in pts]
-    g = Graph(2 * np_, edges, labels)
-    return GeometryGraph(g, tuple(pts), tuple(pts))
+    lines = [[i for i, x in enumerate(pts) if _dot(field, x, a) == 0] for a in pts]
+    return _incidence_graph(pts, lines, pts)
 
 
 def _span_points(field, x, y):
@@ -327,32 +330,33 @@ def _span_points(field, x, y):
     return tuple(sorted(pts))
 
 
+def _pair_geometry(field, pts, collinear):
+    """Incidence graph of the lines through the pairs x, y of ``pts`` with
+    ``collinear(x, y)`` that lie wholly in ``pts``; each line is named by
+    its sorted point indices."""
+    rank = {p: i for i, p in enumerate(pts)}
+    lines = set()
+    for x, y in combinations(pts, 2):
+        if collinear(x, y):
+            span = _span_points(field, x, y)
+            if all(p in rank for p in span):
+                lines.add(tuple(sorted(rank[p] for p in span)))
+    lines = sorted(lines)
+    return _incidence_graph(pts, lines, lines)
+
+
 def incidence_w3(q):
     """Incidence graph of the symplectic quadrangle W(3,q): all points of
     PG(3,q) and the totally isotropic lines of the alternating form
     x0*y1 - x1*y0 + x2*y3 - x3*y2."""
     field = gf(q)
-    pts = projective_points(field, 3)
-    rank = {p: i for i, p in enumerate(pts)}
 
-    def form(x, y):
+    def isotropic(x, y):
         a = field.sub(field.mul[x[0]][y[1]], field.mul[x[1]][y[0]])
         b = field.sub(field.mul[x[2]][y[3]], field.mul[x[3]][y[2]])
-        return field.add[a][b]
+        return field.add[a][b] == 0
 
-    lines = set()
-    for x, y in combinations(pts, 2):
-        if form(x, y) == 0:
-            lines.add(tuple(sorted(rank[p] for p in _span_points(field, x, y))))
-    lines = sorted(lines)
-    np_ = len(pts)
-    edges = []
-    for j, line in enumerate(lines):
-        for pi in line:
-            edges.append((pi, np_ + j))
-    labels = [f"P{p}" for p in pts] + [f"L{line}" for line in lines]
-    g = Graph(np_ + len(lines), edges, labels)
-    return GeometryGraph(g, tuple(pts), tuple(lines))
+    return _pair_geometry(field, projective_points(field, 3), isotropic)
 
 
 def incidence_hexagon(q):
@@ -377,9 +381,6 @@ def incidence_hexagon(q):
         s = field.add[s][field.mul[x[2]][x[6]]]
         return field.sub(s, field.mul[x[3]][x[3]])
 
-    pts = [p for p in projective_points(field, 6) if quadric(p) == 0]
-    rank = {p: i for i, p in enumerate(pts)}
-
     def grassmann(x, y, i, j):
         return field.sub(field.mul[x[i]][y[j]], field.mul[x[j]][y[i]])
 
@@ -392,20 +393,8 @@ def incidence_hexagon(q):
                 return False
         return True
 
-    lines = set()
-    for x, y in combinations(pts, 2):
-        span = _span_points(field, x, y)
-        if all(quadric(p) == 0 for p in span) and hexagon_line(x, y):
-            lines.add(tuple(sorted(rank[p] for p in span)))
-    lines = sorted(lines)
-    np_ = len(pts)
-    edges = []
-    for j, line in enumerate(lines):
-        for pi in line:
-            edges.append((pi, np_ + j))
-    labels = [f"P{p}" for p in pts] + [f"L{line}" for line in lines]
-    g = Graph(np_ + len(lines), edges, labels)
-    return GeometryGraph(g, tuple(pts), tuple(lines))
+    pts = [p for p in projective_points(field, 6) if quadric(p) == 0]
+    return _pair_geometry(field, pts, hexagon_line)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Simple undirected graphs and the derived constructions used everywhere
 else in the package: subdivision, line graph, distance-2 components, metric
-invariants (girth, diameter, spheres) and the Moore bound.
+invariants (girth, diameter, spheres) and the Moore bound.  ``analyze``
+reads the subdivision diameter off the graph's distances, not off S(G).
 
 Adjacency lists are sorted ascending and all traversals run in index order,
 so every result is reproducible bit for bit.  The subdivision index layout
@@ -434,14 +435,29 @@ def moore_bound(k, g):
 
 def analyze(g):
     """Full invariant bundle: sizes, valency, girth, diameter, subdivision
-    diameter, delta, bipartiteness, Moore bound and cage flag."""
+    diameter, delta, bipartiteness, Moore bound and cage flag.
+
+    D = diam S(g) comes from g's own distances.  In S(g) a vertex v and the
+    edge vertex of ab lie 2 min(d(v, a), d(v, b)) + 1 apart, and two edge
+    vertices 2 + 2 * (least endpoint distance).  So D is 2d + 2 when two
+    edges have all four endpoint distances equal to d, else 2d + 1 when
+    some vertex is at distance d from both ends of an edge, and 2d if not.
+    """
     if g.n == 0 or not g.is_connected():
         raise GraphError("analysis requires a connected nonempty graph")
     lo, hi = g.degree_range()
     gi = girth(g)
-    d = diameter(g)
-    sub, _ = subdivision(g)
-    dd = diameter(sub)
+    dist = [bfs_distances(g, s) for s in range(g.n)]
+    d = max(map(max, dist))
+    far = [frozenset(v for v, x in enumerate(row) if x == d) for row in dist]
+    dd = 2 * d
+    for a, b in g.edges:
+        both = far[a] & far[b]
+        if any(w in both for u in both for w in g.adjacency[u]):
+            dd = 2 * d + 2
+            break
+        if both:
+            dd = 2 * d + 1
     mb = None
     cage = False
     if lo == hi and lo >= 2 and gi != INF:

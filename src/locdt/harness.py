@@ -81,7 +81,7 @@ class CaseSpec:
     constructor: str
     params: tuple
     expected: tuple  # (n, girth, diameter, subdivision diameter)
-    group_rule: str  # full | index2-sdt-pick | chamber-* | noswap
+    group_rule: str  # full | index2-sdt-pick | chamber-*
     expect_pass: bool = True
     classification_line: int = None  # index into S_TRANSITIVE_CLASSIFICATION
 
@@ -225,16 +225,6 @@ def _select_group(case, g, sub, smap, depth):
         name = rule.split("-", 1)[1]
         G = chamber_groups_on_w32()[name]
         return G, {"rule": rule, "order": G.order()}, None
-    if rule == "noswap":
-        # bipart-preserving subgroup of the K_{n,n} wreath group
-        n = case.params[0]
-        gens = []
-        for base in (0, n):
-            pts = list(range(base, base + n))
-            gens.append(Permutation.from_cycles(2 * n, [tuple(pts[:2])]))
-            gens.append(Permutation.from_cycles(2 * n, [tuple(pts)]))
-        G = PermGroup(2 * n, gens)
-        return G, {"rule": rule, "order": G.order()}, None
     raise ValueError(f"unknown group rule {case.group_rule!r}")
 
 
@@ -310,12 +300,13 @@ def verify_case(case):
 
 
 def _noswap_case_report():
-    """The order-36 bipart-preserving subgroup of the K_{3,3} group must
-    fail the interchange clause."""
-    case = CaseSpec("neg-k33-noswap", "kbip", (3, 3), (6, 4, 2, 4), "noswap",
-                    expect_pass=False)
-    g = build_constructor(case.constructor, case.params)
-    group, info, _ = _select_group(case, g, None, None, None)
+    """The order-36 bipart-preserving subgroup S3 x S3 of the K_{3,3} group
+    must fail the interchange clause."""
+    gens = []
+    for side in ((0, 1, 2), (3, 4, 5)):
+        gens.append(Permutation.from_cycles(6, [side[:2]]))
+        gens.append(Permutation.from_cycles(6, [side]))
+    group = PermGroup(6, gens)
     star = condition_star(group, 3)
     failures = []
     if star.satisfied:
@@ -323,10 +314,10 @@ def _noswap_case_report():
     if star.clause_iii.holds:
         failures.append("interchange clause unexpectedly holds")
     return {
-        "row": case.row,
-        "constructor": case.constructor,
-        "params": list(case.params),
-        "group": info,
+        "row": "neg-k33-noswap",
+        "constructor": "kbip",
+        "params": [3, 3],
+        "group": {"rule": "noswap", "order": group.order()},
         "condition_star": star.to_dict(),
         "expect_pass": False,
         "passed": not failures,

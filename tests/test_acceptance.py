@@ -7,11 +7,10 @@ the other three points are the complements of single points and
 expected table is checked against a recount over every group element
 (``_recount_kn_verdicts``) that uses no library orbit or LDT code.
 
-The opt-in stretch criterion 9 runs only when LOCDT_HEXAGON=1 is set.
+Stretch criterion 9 checks the 728-vertex hexagon H(3) end to end.
 """
 
 import itertools
-import os
 import time
 
 import pytest
@@ -271,10 +270,6 @@ def test_criterion_8_diameter_bounds(row_reports):
     assert ok and checked > 0
 
 
-@pytest.mark.skipif(
-    not os.environ.get("LOCDT_HEXAGON"),
-    reason="opt-in stretch case; set LOCDT_HEXAGON=1 to run",
-)
 def test_criterion_9_hexagon_stretch():
     t0 = time.time()
     gg = incidence_hexagon(3)

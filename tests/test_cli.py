@@ -4,6 +4,7 @@ import json
 import pytest
 
 from locdt.cli import main
+from locdt.harness import report_to_json, run_case_by_id
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +216,9 @@ def test_check_ldt_trivial_group_fails(tmp_path, capsys):
 # sha256 of the default verify-table report: a change that moves any report
 # byte fails here, and one that means to must update the hash and say why
 VERIFY_TABLE_SHA256 = "1032e811590003df553dc8bce41e6f4436c3eee120ada96a6ac8c5efb268df3c"
+# sha256 of the row-7 report (the hexagon H(3)), serialised as verify-table
+# writes it
+HEXAGON_ROW_SHA256 = "71c839dc600a46fff222a0ef4be474180060d36fc2e3882fc04b77b765e09f87"
 
 
 def test_verify_table_cli_and_golden(tmp_path, capsys):
@@ -242,6 +246,13 @@ def test_verify_table_cli_and_golden(tmp_path, capsys):
                            "-o", str(tmp_path / "third.json"))
     assert code == 1
     assert "2" in err
+
+
+def test_hexagon_row_report_is_pinned():
+    report = run_case_by_id("7", include_hexagon=True)
+    assert report["passed"]
+    digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    assert digest == HEXAGON_ROW_SHA256
 
 
 def test_verify_table_jobs_output_is_identical(tmp_path, capsys):

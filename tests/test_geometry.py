@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from locdt.autgrp import automorphism_group, isomorphism
@@ -146,6 +148,35 @@ def test_hexagon_q3_counts_and_invariants():
 def test_hexagon_rejects_unsupported_q():
     with pytest.raises(GraphError):
         incidence_hexagon(4)
+
+
+# sha256 of repr((edges, labels, points, lines)) for each incidence
+# geometry: vertex numbering, labels and line lists are part of the output
+GEOMETRY_SHA256 = {
+    (incidence_pg2, 2): "50ec349f4a52b8d96292b2b0d89c57dd1294d88cc06c3c7233b316f9c2990349",
+    (incidence_pg2, 3): "c8736355529ae8f676693bbc736bae88fef84338d387f2c98c1090a66f17c052",
+    (incidence_pg2, 4): "dba0090821789b1a63dd11129f88d9c7826c4322353ad2c829591498889b04b8",
+    (incidence_pg2, 5): "a3d937522b8034f9e7c81c294abf4d6a101f83e3bd3c7f71a8373acef1f7ad82",
+    (incidence_pg2, 7): "a9b61b2810637187610a5c9110c29bf312c2f7abaa7cb3462fe2fbc191bf55b9",
+    (incidence_pg2, 8): "6051f0e47f4b6cbf6f0e042cd575c300f8e7c5b58777aebb0fa47ac4a04145d9",
+    (incidence_pg2, 9): "2570f46af4ccc70dd4b297133ab2442a46f7d0c18e4100d7ec799df00996dc78",
+    (incidence_w3, 2): "6724cef27ff9bf3b551ef6261d10ebeb239745170debdf7075d51a937d80ca8c",
+    (incidence_w3, 3): "41b30ef052d18f6a63501bfe5c02b6db00c994ca751f646be695401e0d6ec836",
+    (incidence_w3, 4): "5453cddcced914d3b4135a87c41b1cc7d9a111be030d7051f81d7efcd2b1304b",
+    (incidence_w3, 5): "0f1fd7b54d846a768a8785600139a0817bb216043ae0998694f0506204a29c6d",
+    (incidence_hexagon, 2): "f153e1250c60315d2e0c7b4470d72cec88834a4827252bac639531524eb8935c",
+    (incidence_hexagon, 3): "4d01193c6cbf1c8154daa7430dfcb268aea213ccd1a93795957feb805ad25fbe",
+}
+
+
+@pytest.mark.parametrize(
+    "build, q", GEOMETRY_SHA256, ids=lambda x: getattr(x, "__name__", str(x))
+)
+def test_incidence_geometry_bytes_are_pinned(build, q):
+    gg = build(q)
+    g = gg.graph
+    text = repr((g.edges, g.labels, gg.points, gg.lines))
+    assert hashlib.sha256(text.encode()).hexdigest() == GEOMETRY_SHA256[build, q]
 
 
 def test_geometry_graph_labels_present():

@@ -27,6 +27,7 @@ from locdt.geometry import (
     petersen,
     petersen_s5,
 )
+from locdt.harness import CONSTRUCTORS, build_constructor
 from locdt.perms import GroupError, Permutation
 
 
@@ -252,6 +253,52 @@ def test_analyze_cycles():
         rep = analyze(cycle(n))
         assert (rep.girth, rep.diameter, rep.subdivision_diameter) == (n, n // 2, n)
         assert rep.is_cage  # every cycle attains the valency-2 bound
+
+
+def _check_subdivision_diameter(g):
+    """analyze's subdivision diameter against a BFS over S(g); returns
+    delta, which says which of 2d, 2d+1 and 2d+2 it is."""
+    rep = analyze(g)
+    assert rep.subdivision_diameter == diameter(subdivision(g)[0])
+    return rep.delta
+
+
+# parameters for each registered constructor; the hexagon at q=2
+FAMILY_PARAMS = {"kn": (5,), "kbip": (3, 4), "cycle": (7,), "petersen": (),
+                 "hosi": (), "pg2": (3,), "w3": (3,), "hexagon": (2,),
+                 "chamber45": ()}
+
+
+def test_subdivision_diameter_matches_bfs_on_families():
+    assert set(FAMILY_PARAMS) == set(CONSTRUCTORS)
+    graphs = [build_constructor(name, params) for name, params in FAMILY_PARAMS.items()]
+    graphs += [complete(n) for n in range(1, 8)]
+    graphs += [complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 5)]
+    graphs += [cycle(n) for n in range(3, 13)]
+    deltas = {_check_subdivision_diameter(g) for g in graphs}
+    assert deltas == {0, 1, 2}
+
+
+def test_subdivision_diameter_matches_bfs_on_random_graphs():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def connected_graphs(draw):
+        n = draw(st.integers(1, 14))
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for u, v in draw(st.lists(pair, max_size=2 * n)):
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        return Graph(n, sorted(edges))
+
+    @settings(max_examples=300, deadline=None)
+    @given(connected_graphs())
+    def check(g):
+        _check_subdivision_diameter(g)
+
+    check()
 
 
 def test_edge_list_roundtrip(tmp_path):
