@@ -15,12 +15,12 @@ from .geometry import complete, complete_bipartite
 from .graphs import (
     INF,
     GraphError,
+    analyze,
     bfs_distances,
-    diameter,
     girth,
     isomorphism_failure,
     lift_group,
-    moore_bound,
+    moore_and_cage,
     subdivision,
 )
 from .perms import (
@@ -372,17 +372,11 @@ class CageReport:
 def cage_certificate(g):
     """Regularity, girth, Moore bound and the cage verdict, plus whether
     the girth lies in the admissible spectrum {3,4,5,6,8,12}."""
-    lo, hi = g.degree_range()
-    regular = lo == hi
     gi = girth(g)
-    mb = None
-    cage = False
-    if regular and lo >= 2 and gi != INF:
-        mb = moore_bound(lo, gi)
-        cage = g.n == mb
+    mb, cage = moore_and_cage(g, gi)
     return CageReport(
-        regular=regular,
-        valency=hi,
+        regular=g.is_regular(),
+        valency=g.degree_range()[1],
         girth=gi,
         moore=mb,
         is_cage=cage,
@@ -442,7 +436,7 @@ def complete_graph_criteria(n, G):
     kn = complete(n)
     sub, smap = subdivision(kn)
     Glift = lift_group(G, smap)
-    ldt = check_local_sdt(sub, Glift, diameter(sub))
+    ldt = check_local_sdt(sub, Glift, analyze(kn).subdivision_diameter)
     ldt_half = ldt.at_depth(2).verdict
     ldt_full = ldt.verdict
     three = G.is_k_transitive(3)

@@ -1,7 +1,8 @@
 """Simple undirected graphs and the derived constructions used everywhere
 else in the package: subdivision, line graph, distance-2 components, metric
 invariants (girth, diameter, spheres) and the Moore bound.  ``analyze``
-reads the subdivision diameter off the graph's distances, not off S(G).
+takes every invariant from one BFS pass per vertex, the subdivision
+diameter included: it is read off the graph's distances, not off S(G).
 
 Adjacency lists are sorted ascending and all traversals run in index order,
 so every result is reproducible bit for bit.  The subdivision index layout
@@ -200,22 +201,32 @@ class AnalysisReport:
         }
 
 
+def _bfs_closing(g, src):
+    """Hop distances from ``src`` and the shortest closed walk through
+    ``src`` that a non-tree edge closes (INF when no edge does)."""
+    dist = [INF] * g.n
+    parent = [-1] * g.n
+    dist[src] = 0
+    order = [src]
+    walk = INF
+    adj = g.adjacency
+    for u in order:  # grows while scanned: breadth-first
+        du = dist[u]
+        for w in adj[u]:
+            if dist[w] == INF:
+                dist[w] = du + 1
+                parent[w] = u
+                order.append(w)
+            elif w != parent[u] and du + dist[w] + 1 < walk:
+                walk = du + dist[w] + 1
+    return tuple(dist), walk
+
+
 def bfs_distances(g, src):
     """Hop distances from ``src``; unreachable vertices get the INF sentinel."""
     if not 0 <= src < g.n:
         raise GraphError(f"source {src} out of range")
-    dist = [INF] * g.n
-    dist[src] = 0
-    queue = deque([src])
-    adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] == INF:
-                dist[w] = du
-                queue.append(w)
-    return tuple(dist)
+    return _bfs_closing(g, src)[0]
 
 
 def eccentricity(g, src):
@@ -234,36 +245,9 @@ def diameter(g):
 
 
 def girth(g):
-    """Length of a shortest cycle, or the INF sentinel for forests.
-
-    BFS from every vertex with parent exclusion, cut off once the current
-    best cycle can no longer be improved.
-    """
-    best = INF
-    n = g.n
-    adj = g.adjacency
-    for s in range(n):
-        if best <= 3:
-            break
-        dist = [INF] * n
-        dist[s] = 0
-        queue = deque([(s, -1)])
-        while queue:
-            u, parent = queue.popleft()
-            du = dist[u]
-            if 2 * du + 1 >= best:
-                continue
-            for w in adj[u]:
-                if w == parent:
-                    continue
-                if dist[w] == INF:
-                    dist[w] = du + 1
-                    queue.append((w, u))
-                else:
-                    cand = du + dist[w] + 1
-                    if cand < best:
-                        best = cand
-    return best
+    """Length of a shortest cycle, or the INF sentinel for forests: the
+    shortest closed walk a non-tree edge closes, over all BFS sources."""
+    return min((_bfs_closing(g, s)[1] for s in range(g.n)), default=INF)
 
 
 def sphere(g, x, i):
@@ -433,9 +417,23 @@ def moore_bound(k, g):
     return 2 * total
 
 
+def moore_and_cage(g, gi):
+    """Moore bound for g's valency and girth ``gi``, and whether g attains
+    it; (None, False) unless g is regular of valency >= 2 with a cycle."""
+    lo, hi = g.degree_range()
+    if lo != hi or lo < 2 or gi == INF:
+        return None, False
+    mb = moore_bound(lo, gi)
+    return mb, g.n == mb
+
+
 def analyze(g):
     """Full invariant bundle: sizes, valency, girth, diameter, subdivision
     diameter, delta, bipartiteness, Moore bound and cage flag.
+
+    One BFS pass per vertex gives every distance row and the girth;
+    connectivity and bipartiteness are read off row 0 (no INF, and no edge
+    joins two vertices at equal distance from vertex 0).
 
     D = diam S(g) comes from g's own distances.  In S(g) a vertex v and the
     edge vertex of ab lie 2 min(d(v, a), d(v, b)) + 1 apart, and two edge
@@ -443,11 +441,12 @@ def analyze(g):
     edges have all four endpoint distances equal to d, else 2d + 1 when
     some vertex is at distance d from both ends of an edge, and 2d if not.
     """
-    if g.n == 0 or not g.is_connected():
+    passes = [_bfs_closing(g, s) for s in range(g.n)]
+    if g.n == 0 or INF in passes[0][0]:
         raise GraphError("analysis requires a connected nonempty graph")
+    dist = [row for row, _ in passes]
+    gi = min(walk for _, walk in passes)
     lo, hi = g.degree_range()
-    gi = girth(g)
-    dist = [bfs_distances(g, s) for s in range(g.n)]
     d = max(map(max, dist))
     far = [frozenset(v for v, x in enumerate(row) if x == d) for row in dist]
     dd = 2 * d
@@ -458,11 +457,7 @@ def analyze(g):
             break
         if both:
             dd = 2 * d + 1
-    mb = None
-    cage = False
-    if lo == hi and lo >= 2 and gi != INF:
-        mb = moore_bound(lo, gi)
-        cage = g.n == mb
+    mb, cage = moore_and_cage(g, gi)
     return AnalysisReport(
         n=g.n,
         m=g.m,
@@ -472,7 +467,7 @@ def analyze(g):
         diameter=d,
         subdivision_diameter=dd,
         delta=dd - 2 * d,
-        bipartite=g.is_bipartite(),
+        bipartite=all(dist[0][a] != dist[0][b] for a, b in g.edges),
         moore_bound=mb,
         is_cage=cage,
     )

@@ -5,7 +5,9 @@ with explicit transversals; a coset representative's inverse is formed only
 when ``sift`` reads it, never stored.  Base points are chosen as the
 smallest point with nontrivial action; together with sorted orbit scans
 this makes chains, orders and element streams reproducible across runs.
-Orders are plain Python integers, so arbitrary precision comes for free.
+A point stabilizer's chain is built from the group's generators with the
+point first, ended by the known order.  Orders are plain Python integers,
+so arbitrary precision comes for free.
 """
 
 from collections import deque
@@ -195,12 +197,12 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     ``base_prefix`` forces the first base points (used for stabilizers);
     further base points are the smallest point moved by the generator that
     needs them.  ``known_order`` allows an early exit once the transversal
-    product reaches the target, which makes base changes cheap; it must be
-    the exact order.  The product reaches the true order only on a complete
-    chain, so the exit leaves the chain unchanged.  A wrong order raises
-    GroupError only when the chain never reaches it: a smaller order that
-    the product hits on the way up stops the build early, unnoticed, with an
-    incomplete chain.
+    product reaches the target, which makes stabilizer builds cheap; it must
+    be the exact order.  The product reaches the true order only on a
+    complete chain, so the exit leaves the chain unchanged.  A wrong order
+    raises GroupError only when the chain never reaches it: a smaller order
+    that the product hits on the way up stops the build early, unnoticed,
+    with an incomplete chain.
 
     Each level stores its transversal and no inverses.  The Schreier
     generator u_beta s u_{beta^s}^-1 is not formed on its own: ``sift`` of
@@ -334,15 +336,14 @@ class PermGroup:
         return OrbitPartition(tuple(reps), tuple(class_of))
 
     def stabilizer(self, x):
-        """Point stabilizer, built by a base change that puts x first."""
+        """Point stabilizer.  Its chain is built from the group's generators
+        with x first, ended by the known order; a group whose order is
+        known builds no chain of its own."""
         if not 0 <= x < self.degree:
             raise GroupError(f"point {x} out of range")
-        order = self.order()
+        order = self._order if self._order is not None else self.order()
         chain = build_chain(
-            self.degree,
-            self._strong_generators(),
-            base_prefix=(x,),
-            known_order=order,
+            self.degree, self.raw_generators, base_prefix=(x,), known_order=order
         )
         if chain.base and chain.base[0] == x:
             tail = chain.tail()
@@ -351,17 +352,6 @@ class PermGroup:
             tail = chain
         gens = [Permutation._wrap(g) for level in tail.sgd for g in level]
         return PermGroup._with_chain(self.degree, gens, tail)
-
-    def _strong_generators(self):
-        chain = self.chain()
-        out = []
-        seen = set()
-        for level in chain.sgd:
-            for g in level:
-                if g not in seen:
-                    seen.add(g)
-                    out.append(g)
-        return out
 
     def stabilizer_orbits_on(self, x, points):
         """Sorted orbit sizes of the stabilizer of ``x`` on ``points``.

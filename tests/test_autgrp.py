@@ -350,6 +350,14 @@ def test_wrong_known_order_raises():
         s5.order()
 
 
+def test_wrong_known_order_raises_in_stabilizer():
+    """The LDT pass reads a stabilizer, never the group's own chain, so the
+    known order is checked where the stabilizer chain is built."""
+    s5 = PermGroup(5, symmetric_group(5).generators, order=240)
+    with pytest.raises(GroupError):
+        s5.stabilizer(0)
+
+
 def _individualize_budget(monkeypatch, limit):
     """Count ``_individualize`` calls and raise past ``limit``, so a search
     that would run for hours fails at once."""

@@ -120,6 +120,28 @@ def test_orbit_representative_soundness():
                 assert sizes == base_sizes
 
 
+def test_ldt_builds_one_chain_per_orbit_representative(monkeypatch):
+    """A lifted group knows its order, so the LDT pass builds one
+    stabilizer chain per orbit representative and none for the group."""
+    from locdt import perms
+
+    g, s5 = petersen_s5()
+    sub, smap = subdivision(g)
+    lifted = lift_group(s5, smap)
+    calls = []
+    real = perms.build_chain
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perms, "build_chain", counted)
+    res = check_local_sdt(sub, lifted, 10)
+    assert [r.vertex for r in res.reps] == [0, 10]
+    assert len(calls) == 2
+    assert lifted._chain is None
+
+
 def test_arc_counts():
     g = petersen()
     arcs = enumerate_arcs(g, 3)

@@ -301,6 +301,42 @@ def test_subdivision_diameter_matches_bfs_on_random_graphs():
     check()
 
 
+def test_girth_and_bipartiteness_match_networkx():
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def graphs(draw):
+        """Forests, disconnected graphs, and (with a spanning tree drawn
+        first) connected ones."""
+        n = draw(st.integers(1, 14))
+        edges = set()
+        if draw(st.booleans()):
+            edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for u, v in draw(st.lists(pair, max_size=2 * n)):
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        return Graph(n, sorted(edges))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs())
+    def check(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        expected = nx.girth(h)
+        expected = INF if expected == float("inf") else expected
+        assert girth(g) == expected
+        if nx.is_connected(h):
+            rep = analyze(g)
+            assert rep.girth == expected
+            assert rep.bipartite == nx.is_bipartite(h)
+
+    check()
+
+
 def test_edge_list_roundtrip(tmp_path):
     g = petersen()
     path = tmp_path / "petersen.txt"
