@@ -26,8 +26,10 @@ from .graphs import (
 from .perms import (
     GroupError,
     PermGroup,
+    Permutation,
     on_tuples,
     orbit_closure,
+    orbit_partition,
     orbit_sizes_within,
 )
 
@@ -194,18 +196,12 @@ def enumerate_arcs(g, s, cap=10**7):
 def check_arc_transitive(g, G, s, cap=10**7):
     """Does G act transitively on the s-arcs of g?
 
-    Arcs are materialised as tuples; orbits are closed under the pointwise
-    generator action.  Orbits partition the arcs, so each closure stays
-    inside the arcs not yet counted.
+    Arcs are materialised as tuples and split into orbits under the
+    pointwise generator action.
     """
     _check_generators_are_automorphisms(g, G)
     arcs = enumerate_arcs(g, s, cap)
-    gens = G.raw_generators
-    left = set(arcs)
-    orbit_count = 0
-    while left:
-        left -= orbit_closure(gens, [next(iter(left))], on_tuples, within=left)
-        orbit_count += 1
+    orbit_count = len(orbit_partition(G.raw_generators, arcs, on_tuples))
     all_geo = True
     dist_cache = {}
     for arc in arcs:
@@ -246,31 +242,27 @@ class StarReport:
 
 
 def _bipart_kernel(G, n):
-    """Split generators by whether they preserve or swap the two sides of
-    K_{n,n}; returns (kernel subgroup, swaps_exist)."""
-    side1 = set(range(n))
-    preserving = []
-    swapping = []
-    for p in G.generators:
-        img = {p.images[v] for v in side1}
-        if img == side1:
-            preserving.append(p)
-        elif img == set(range(n, 2 * n)):
-            swapping.append(p)
-        else:
-            raise GroupError("group does not preserve the bipartition structure")
-    if not swapping:
-        return G, False
-    tau = swapping[0]
-    tau_inv = tau.inverse()
-    kernel_gens = []
-    for p in preserving:
-        kernel_gens.append(p)
-        kernel_gens.append(tau_inv * p * tau)
-    for p in swapping:
-        kernel_gens.append(p * tau_inv)
-        kernel_gens.append(tau * p)
-    return PermGroup(G.degree, kernel_gens), True
+    """The subgroup of G preserving each side of K_{n,n}.  ``restrict``
+    checks that the sides are blocks; the kernel of G's action on them is
+    generated by the Schreier generators u p v^-1, for p a generator of G
+    and u, v in the transversal {1, tau}, where tau is a side-swapping
+    generator (1 when none swaps)."""
+    sides = (tuple(range(n)), tuple(range(n, 2 * n)))
+    try:
+        G.restrict(sides)
+    except GroupError:
+        raise GroupError("group does not preserve the bipartition structure") from None
+    ident = Permutation.identity(G.degree)
+    tau = next((p for p in G.generators if p.images[0] >= n), ident)
+    transversal = (ident, tau)  # indexed by "maps side 1 to side 2"
+    return PermGroup(
+        G.degree,
+        [
+            u * p * transversal[(u * p).images[0] >= n].inverse()
+            for u in transversal
+            for p in G.generators
+        ],
+    )
 
 
 def condition_star(G, n, representative=0):
@@ -289,7 +281,7 @@ def condition_star(G, n, representative=0):
         raise GroupError("condition needs n >= 2")
     if G.degree != 2 * n:
         raise GroupError(f"group degree {G.degree}, expected {2 * n}")
-    kernel, has_swap = _bipart_kernel(G, n)
+    kernel = _bipart_kernel(G, n)
 
     side1 = list(range(n))
     side2 = list(range(n, 2 * n))

@@ -8,7 +8,8 @@ moore.  Exit codes are a stable contract:
     2  bad graph (disconnected where a connected one is needed) or bad
        parameters (constructor parameters, a depth below 1)
     3  size limit exceeded
-    4  bad group (degree mismatch, non-automorphism generator)
+    4  bad group (degree mismatch, non-automorphism generator, malformed
+       generator file)
 
 Reports carry no timestamps; a single timing line goes to stderr so output
 files stay byte-identical across runs.  The vertex limit for automorphism

@@ -222,17 +222,8 @@ def petersen():
 
 def petersen_s5():
     """The Petersen graph together with the natural S5 action on it."""
-    g = petersen()
-    pairs = list(combinations(range(5), 2))
-    rank = {p: i for i, p in enumerate(pairs)}
-
-    def induced(perm5):
-        return Permutation(
-            [rank[tuple(sorted((perm5[a], perm5[b])))] for a, b in pairs]
-        )
-
     gens5 = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
-    return g, PermGroup(10, [induced(p) for p in gens5])
+    return petersen(), pair_action(PermGroup(5, gens5), 5)
 
 
 def hoffman_singleton():
@@ -416,7 +407,7 @@ def _moebius_perm(field, fn):
     return Permutation([pos[fn(p)] for p in pts])
 
 
-def _mobius_generators(field, semilinear=True):
+def _mobius_generators(field):
     """Named generators of the Moebius-type groups over GF(q)."""
     nu = field.primitive
     nu2 = field.mul[nu][nu]
@@ -444,16 +435,14 @@ def _mobius_generators(field, semilinear=True):
     def nu_frobenius(z):
         return z if z == INFTY else field.mul[nu][field.pow(z, field.p)]
 
-    gens = {
+    return {
         "shift": _moebius_perm(field, shift),
         "mul_sq": _moebius_perm(field, mul_by(nu2)),
         "neg_inv": _moebius_perm(field, neg_inverse),
         "mul_prim": _moebius_perm(field, mul_by(nu)),
+        "frobenius": _moebius_perm(field, frobenius),
+        "nu_frobenius": _moebius_perm(field, nu_frobenius),
     }
-    if semilinear:
-        gens["frobenius"] = _moebius_perm(field, frobenius)
-        gens["nu_frobenius"] = _moebius_perm(field, nu_frobenius)
-    return gens
 
 
 @dataclass(frozen=True)
@@ -541,15 +530,7 @@ class ChamberModel:
 
 def pair_action(G, n_points):
     """Induced action on unordered pairs, ordered lexicographically."""
-    pairs = list(combinations(range(n_points), 2))
-    rank = {p: i for i, p in enumerate(pairs)}
-    gens = []
-    for p in G.generators:
-        imgs = [
-            rank[tuple(sorted((p.images[a], p.images[b])))] for a, b in pairs
-        ]
-        gens.append(Permutation(imgs))
-    return PermGroup(len(pairs), gens)
+    return G.restrict(list(combinations(range(n_points), 2)))
 
 
 def chamber_model_w32():

@@ -27,7 +27,6 @@ from .graphs import (
     analyze,
     bfs_distances,
     lift_group,
-    lift_to_subdivision,
     subdivision,
 )
 from .perms import (
@@ -125,32 +124,15 @@ COMPLETE_GRAPH_CASES = (
 )
 
 
-def _vertex_action_from_edge_action(g, smap, edge_perm):
-    """Recover the vertex permutation inducing a given permutation of the
-    edge vertices: each vertex maps to the common endpoint of the images
-    of two of its incident edges."""
-    incident = [[] for _ in range(g.n)]
-    for idx, (u, v) in enumerate(smap.edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
-    images = []
-    for v in range(g.n):
-        inc = incident[v]
-        if len(inc) < 2:
-            raise GroupError("vertex recovery needs minimum degree 2")
-        e1 = smap.edges[edge_perm[inc[0]]]
-        e2 = smap.edges[edge_perm[inc[1]]]
-        common = set(e1) & set(e2)
-        if len(common) != 1:
-            raise GroupError("edge action does not come from a vertex action")
-        images.append(common.pop())
-    return Permutation(images)
-
-
 def chamber_groups_on_w32():
     """The Moebius groups transported from the 45-pair chamber model onto
     the 30 vertices of the q=2 quadrangle, via an isomorphism between the
-    opposition graph and the distance-8 relation on edge vertices."""
+    opposition graph and the distance-8 relation on edge vertices.
+
+    A vertex is its star: the sorted chamber indices of its edges.  Two
+    stars share at most one edge, so a group permuting the stars induces
+    exactly the transported edge action; ``restrict`` raises when a star's
+    image is not a star."""
     g = geometry.incidence_w3(2).graph
     sub, smap = subdivision(g)
     edge_ids = list(range(g.n, g.n + smap.m))
@@ -165,31 +147,17 @@ def chamber_groups_on_w32():
     phi = isomorphism(model.graph, d8)
     if phi is None:
         raise GroupError("chamber opposition graph does not match distance-8 graph")
-    phi_inv = [0] * len(phi)
+    chamber_of = [0] * len(phi)
     for pair_idx, edge_idx in enumerate(phi):
-        phi_inv[edge_idx] = pair_idx
-
-    def transport(group):
-        vertex_gens = []
-        for rho in group.generators:
-            edge_perm = [phi[rho.images[phi_inv[e]]] for e in range(smap.m)]
-            vperm = _vertex_action_from_edge_action(g, smap, edge_perm)
-            # round trip: lifting the recovered vertex action must induce
-            # exactly the transported edge action (and raises if the
-            # recovered map is not an automorphism)
-            lifted = lift_to_subdivision(vperm, smap)
-            for e_idx in range(smap.m):
-                if lifted.images[g.n + e_idx] != g.n + edge_perm[e_idx]:
-                    raise GroupError("edge-action transport is not faithful")
-            vertex_gens.append(vperm)
-        return PermGroup(g.n, vertex_gens)
-
+        chamber_of[edge_idx] = pair_idx
+    stars = [[] for _ in range(g.n)]
+    for idx, (u, v) in enumerate(smap.edges):
+        stars[u].append(chamber_of[idx])
+        stars[v].append(chamber_of[idx])
+    stars = [tuple(sorted(star)) for star in stars]
     return {
-        "psl": transport(model.psl),
-        "pgl": transport(model.pgl),
-        "psigmal": transport(model.psigmal),
-        "m10": transport(model.m10),
-        "pgammal": transport(model.pgammal),
+        name: getattr(model, name).restrict(stars)
+        for name in ("psl", "pgl", "psigmal", "m10", "pgammal")
     }
 
 

@@ -8,6 +8,11 @@ this makes chains, orders and element streams reproducible across runs.
 A point stabilizer's chain is built from the group's generators with the
 point first, ended by the known order.  Orders are plain Python integers,
 so arbitrary precision comes for free.
+
+Derived actions come from two primitives.  ``PermGroup.restrict`` gives the
+induced action on an invariant family of points or point sets (sorted
+tuples: edges, pairs, the sides of K_{n,n}, vertex stars);
+``orbit_partition`` splits an invariant list into orbits under any action.
 """
 
 from collections import deque
@@ -323,17 +328,12 @@ class PermGroup:
 
     def orbits(self):
         """Full orbit partition, representatives in ascending order."""
-        gens = self.raw_generators
-        reps = []
-        class_of = [-1] * self.degree
-        for v in range(self.degree):
-            if class_of[v] >= 0:
-                continue
-            idx = len(reps)
-            reps.append(v)
-            for w in orbit_closure(gens, [v]):
+        orbits = orbit_partition(self.raw_generators, range(self.degree))
+        class_of = [0] * self.degree
+        for idx, orb in enumerate(orbits):
+            for w in orb:
                 class_of[w] = idx
-        return OrbitPartition(tuple(reps), tuple(class_of))
+        return OrbitPartition(tuple(min(o) for o in orbits), tuple(class_of))
 
     def stabilizer(self, x):
         """Point stabilizer.  Its chain is built from the group's generators
@@ -474,20 +474,18 @@ class PermGroup:
         start = tuple(range(k))
         return len(orbit_closure(self.raw_generators, [start], on_tuples)) == target
 
-    def restrict(self, points):
-        """Action on an invariant point set, relabeled to 0..len-1 in the
-        given order."""
-        pos = {v: i for i, v in enumerate(points)}
-        gens = []
-        for p in self.generators:
-            imgs = []
-            for v in points:
-                w = p.images[v]
-                if w not in pos:
-                    raise GroupError(f"point set not invariant: {v} -> {w}")
-                imgs.append(pos[w])
-            gens.append(Permutation(imgs))
-        return PermGroup(len(points), gens)
+    def restrict(self, items):
+        """Induced action on an invariant family of points, or of point sets
+        given as sorted tuples, relabeled to 0..len-1 in the given order.
+        An image outside the family raises GroupError."""
+        items = list(items)
+        act = on_sets if items and isinstance(items[0], tuple) else on_points
+        pos = {x: i for i, x in enumerate(items)}
+        try:
+            gens = [[pos[act(g, x)] for x in items] for g in self.raw_generators]
+        except KeyError as exc:
+            raise GroupError(f"family not invariant: {exc.args[0]} leaves it") from None
+        return PermGroup(len(items), gens)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -500,6 +498,11 @@ def on_points(g, x):
 def on_tuples(g, t):
     """Componentwise action on a tuple of points."""
     return tuple(map(g.__getitem__, t))
+
+
+def on_sets(g, t):
+    """Action on a set of points held as a sorted tuple."""
+    return tuple(sorted(map(g.__getitem__, t)))
 
 
 def orbit_closure(gens, seeds, act=on_points, within=None):
@@ -519,18 +522,25 @@ def orbit_closure(gens, seeds, act=on_points, within=None):
     return seen
 
 
+def orbit_partition(gens, points, act=on_points):
+    """Orbits of the group generated by ``gens`` on the invariant list
+    ``points``, each a set, in order of their first point.  An image
+    outside ``points`` raises GroupError."""
+    within = set(points)
+    seen = set()
+    orbits = []
+    for x in points:
+        if x not in seen:
+            orb = orbit_closure(gens, [x], act, within)
+            seen |= orb
+            orbits.append(orb)
+    return orbits
+
+
 def orbit_sizes_within(G, points):
     """Sorted orbit sizes of ``G`` restricted to ``points`` (must be
     invariant)."""
-    gens = G.raw_generators
-    pts = set(points)
-    left = set(pts)
-    sizes = []
-    while left:
-        orb = orbit_closure(gens, [next(iter(left))], within=pts)
-        left -= orb
-        sizes.append(len(orb))
-    return sorted(sizes)
+    return sorted(map(len, orbit_partition(G.raw_generators, points)))
 
 
 def symmetric_group(n):
@@ -575,20 +585,18 @@ def write_generators(G, path):
 
 
 def read_generators(path):
+    """Parse a generator file; every malformed file raises GroupError."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise GroupError("generator file header must be 'deg k'")
-        deg, k = int(header[0]), int(header[1])
-        gens = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            imgs = [int(x) for x in line.split()]
-            if len(imgs) != deg:
-                raise GroupError("generator row length does not match degree")
-            gens.append(Permutation(imgs))
-    if len(gens) != k:
-        raise GroupError(f"expected {k} generators, found {len(gens)}")
-    return PermGroup(deg, gens)
+        try:
+            header = [int(x) for x in fh.readline().split()]
+            rows = [[int(x) for x in line.split()] for line in fh if line.strip()]
+        except ValueError as exc:
+            raise GroupError(f"generator file holds a non-integer: {exc}") from None
+    if len(header) != 2:
+        raise GroupError("generator file header must be 'deg k'")
+    deg, k = header
+    if any(len(row) != deg for row in rows):
+        raise GroupError("generator row length does not match degree")
+    if len(rows) != k:
+        raise GroupError(f"expected {k} generators, found {len(rows)}")
+    return PermGroup(deg, rows)

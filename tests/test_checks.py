@@ -3,6 +3,7 @@ import pytest
 from locdt.autgrp import LimitError, automorphism_group
 from locdt.checks import (
     CAGE_GIRTHS,
+    _bipart_kernel,
     cage_certificate,
     check_arc_transitive,
     check_local_sdt,
@@ -240,6 +241,30 @@ def test_condition_star_rejects_bipart_breakers():
     mix = PermGroup(4, [Permutation.from_cycles(4, [(1, 2)])])
     with pytest.raises(GroupError):
         condition_star(mix, 2)
+
+
+def test_bipart_kernel_is_the_side_preserving_subgroup():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    def wreath_element(n):
+        # sigma on side 1, pi on side 2, then optionally swap the sides
+        side = st.permutations(range(n))
+        return st.tuples(side, side, st.booleans()).map(
+            lambda t: [n * t[2] + i for i in t[0]]
+            + [n * (not t[2]) + i for i in t[1]]
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(wreath_element(n), max_size=3))))
+    def check(case):
+        n, gens = case
+        G = PermGroup(2 * n, gens)
+        preserving = sum(1 for p in G.elements() if p.images[0] < n)
+        assert _bipart_kernel(G, n).order() == preserving
+
+    check()
 
 
 def test_cage_certificates():

@@ -139,6 +139,20 @@ def test_check_ldt_bad_generators_exit4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x 1\n1 0\n", "2 1 3\n1 0\n", "2 1\n0 z\n", "3 1\n1 0\n"],
+    ids=["header-not-int", "header-three-fields", "row-not-int", "row-short"],
+)
+def test_check_ldt_malformed_generator_file_exit4(tmp_path, capsys, text):
+    gens = tmp_path / "bad.txt"
+    gens.write_text(text)
+    code, out, err = run_cli(capsys, "check-ldt", "kn", "--n", "2",
+                             "--gens", str(gens), "--s", "1")
+    assert code == 4
+    assert out == "" and "error" in err
+
+
 def test_check_ldt_disconnected_graph_exit2(tmp_path, capsys):
     path = tmp_path / "disc.txt"
     path.write_text("4 2\n0 1\n2 3\n")
@@ -221,7 +235,7 @@ VERIFY_TABLE_SHA256 = "1032e811590003df553dc8bce41e6f4436c3eee120ada96a6ac8c5efb
 HEXAGON_ROW_SHA256 = "71c839dc600a46fff222a0ef4be474180060d36fc2e3882fc04b77b765e09f87"
 
 
-def test_verify_table_cli_and_golden(tmp_path, capsys):
+def test_verify_table_cli_and_golden(tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "report.json"
     code, _, err = run_cli(capsys, "verify-table", "-o", str(out_file))
     assert code == 0
@@ -231,6 +245,11 @@ def test_verify_table_cli_and_golden(tmp_path, capsys):
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == VERIFY_TABLE_SHA256
 
+    # the golden runs test the comparison and its exit codes, so they reuse
+    # the report; test_verify_table_jobs_output_is_identical makes a second
+    # real run against the same digest
+    monkeypatch.setattr(
+        "locdt.cli.verify_table", lambda **kwargs: json.loads(text))
     golden = tmp_path / "golden.json"
     golden.write_text(text)
     code, _, _ = run_cli(capsys, "verify-table", "--golden", str(golden),

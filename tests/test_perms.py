@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -12,8 +13,10 @@ from locdt.perms import (
     build_chain,
     cyclic_group,
     dihedral_group,
+    on_sets,
     on_tuples,
     orbit_closure,
+    orbit_partition,
     orbit_sizes_within,
     read_generators,
     symmetric_group,
@@ -367,6 +370,50 @@ def test_restrict_action():
     rot2 = PermGroup(6, [Permutation.from_cycles(6, [(0, 2, 4), (1, 3, 5)])])
     r = rot2.restrict([0, 2, 4])
     assert r.degree == 3 and r.order() == 3
+
+
+def test_restrict_and_orbit_partition_match_brute_force():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    def group_on(n):
+        perm = st.permutations(range(n)).map(tuple)
+        return st.tuples(st.just(n), st.lists(perm, min_size=1, max_size=3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(group_on), st.data())
+    def check(group, data):
+        n, gens = group
+        G = PermGroup(n, gens)
+        elements = [p.images for p in G.elements()]
+
+        def brute_orbits(items, act):
+            return {frozenset(act(g, x) for g in elements) for x in items}
+
+        for k in (2, 3):
+            family = list(combinations(range(n), k))
+            R = G.restrict(family)
+            got = {frozenset(family[i] for i in c) for c in R.orbits().classes}
+            assert got == brute_orbits(family, on_sets)
+            actions = {tuple(on_sets(g, t) for t in family) for g in elements}
+            assert R.order() == len(actions)
+
+        arcs = list(permutations(range(n), 2))
+        parts = orbit_partition(G.raw_generators, arcs, on_tuples)
+        assert set(map(frozenset, parts)) == brute_orbits(arcs, on_tuples)
+        firsts = [arcs.index(next(t for t in arcs if t in o)) for o in parts]
+        assert firsts == sorted(firsts)
+
+        if n >= 2:
+            pairs = list(combinations(range(n), 2))
+            chosen = sorted(data.draw(st.sets(st.sampled_from(pairs), min_size=1)))
+            if all(on_sets(g, t) in chosen for g in gens for t in chosen):
+                assert G.restrict(chosen).degree == len(chosen)
+            else:
+                with pytest.raises(GroupError):
+                    G.restrict(chosen)
+
+    check()
 
 
 def test_orbit_closure_points_tuples_and_invariance():
