@@ -23,7 +23,6 @@ from .graphs import (
 )
 from .perms import (
     GroupError,
-    OrbitPartition,
     Permutation,
     PermGroup,
     alternating_group,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .perms import Permutation, PermGroup, orbit_closure
-from .graphs import components, isomorphism_failure
+from .graphs import GraphError, components, isomorphism_failure
 
 DEFAULT_VERTEX_LIMIT = 4096
 
@@ -43,7 +43,7 @@ class Coloring:
 
 
 def unit_coloring(g):
-    return Coloring((tuple(range(g.n)),))
+    return Coloring((tuple(range(g.n)),) if g.n else ())
 
 
 def _refine(adj, cells, seed=None):
@@ -95,9 +95,18 @@ def _refine(adj, cells, seed=None):
     return cells, tuple(trace)
 
 
+def _coloring_cells(g, coloring):
+    """The cells of ``coloring`` as lists; GraphError unless they are
+    non-empty and partition the vertices 0..g.n-1."""
+    cells = [list(c) for c in coloring.cells]
+    if not all(cells) or sorted(v for c in cells for v in c) != list(range(g.n)):
+        raise GraphError("coloring cells must be non-empty and partition 0..n-1")
+    return cells
+
+
 def refine(g, coloring):
     """Public refinement entry point; idempotent."""
-    cells, _ = _refine(g.adjacency, [list(c) for c in coloring.cells])
+    cells, _ = _refine(g.adjacency, _coloring_cells(g, coloring))
     return Coloring(tuple(tuple(c) for c in cells))
 
 
@@ -175,7 +184,7 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
         raise LimitError(f"graph has {g.n} vertices, limit is {limit}")
     if coloring is None:
         coloring = unit_coloring(g)
-    cells0, _ = _refine(g.adjacency, [list(c) for c in coloring.cells])
+    cells0, _ = _refine(g.adjacency, _coloring_cells(g, coloring))
     gens, order = _search_levels(g, *_anchor_path(g.adjacency, cells0))
     return PermGroup(g.n, [Permutation(p) for p in gens], order=order)
 

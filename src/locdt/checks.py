@@ -7,7 +7,7 @@ stabilizers of two vertices in the same orbit are conjugate, so their orbit
 counts on distance spheres agree exactly (not heuristically).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 
 from .autgrp import LimitError
@@ -128,7 +128,7 @@ def _ldt_result(s, reps):
 def check_local_sdt(gamma, G, s):
     """Is ``gamma`` locally (G,s)-distance transitive?
 
-    For one representative x per G-orbit, computes the orbits of the
+    For the least point x of each G-orbit, computes the orbits of the
     stabilizer G_x on every sphere at depth 1..min(s, ecc(x)); depths past
     the eccentricity have empty spheres and are skipped, never failed.
     """
@@ -136,7 +136,7 @@ def check_local_sdt(gamma, G, s):
         raise ValueError(f"depth must be at least 1, got {s}")
     _check_generators_are_automorphisms(gamma, G)
     reps = []
-    for x in G.orbits().representatives:
+    for x in [orbit[0] for orbit in G.orbits()]:
         dist = bfs_distances(gamma, x)
         ecc = max(dist)
         if ecc == INF:
@@ -230,15 +230,7 @@ class StarReport:
     satisfied: bool
 
     def to_dict(self):
-        return {
-            "clause_i": {"holds": self.clause_i.holds, "detail": self.clause_i.detail},
-            "clause_ii": {"holds": self.clause_ii.holds, "detail": self.clause_ii.detail},
-            "clause_iii": {
-                "holds": self.clause_iii.holds,
-                "detail": self.clause_iii.detail,
-            },
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def _bipart_kernel(G, n):

@@ -13,7 +13,7 @@ files refer to these indices.
 
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .perms import GroupError, Permutation, PermGroup
 
@@ -185,20 +185,8 @@ class AnalysisReport:
     is_cage: bool
 
     def to_dict(self):
-        # Fixed key order; infinite girth serialises as null.
-        return {
-            "n": self.n,
-            "m": self.m,
-            "valency_min": self.valency_min,
-            "valency_max": self.valency_max,
-            "girth": None if self.girth == INF else self.girth,
-            "diameter": self.diameter,
-            "subdivision_diameter": self.subdivision_diameter,
-            "delta": self.delta,
-            "bipartite": self.bipartite,
-            "moore_bound": self.moore_bound,
-            "is_cage": self.is_cage,
-        }
+        # Key order is the field order; infinite girth serialises as null.
+        return {**asdict(self), "girth": None if self.girth == INF else self.girth}
 
 
 def _bfs_closing(g, src):

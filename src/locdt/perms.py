@@ -5,18 +5,19 @@ with explicit transversals; a coset representative's inverse is formed only
 when ``sift`` reads it, never stored.  Base points are chosen as the
 smallest point with nontrivial action; together with sorted orbit scans
 this makes chains, orders and element streams reproducible across runs.
-A point stabilizer's chain is built from the group's generators with the
-point first, ended by the known order.  Orders are plain Python integers,
-so arbitrary precision comes for free.
+A point stabilizer is the tail of the chain built from the group's
+generators with the point as its first base point, ended by the known
+order.  Orders are plain Python integers, so arbitrary precision comes for
+free.
 
 Derived actions come from two primitives.  ``PermGroup.restrict`` gives the
 induced action on an invariant family of points or point sets (sorted
 tuples: edges, pairs, the sides of K_{n,n}, vertex stars);
-``orbit_partition`` splits an invariant list into orbits under any action.
+``orbit_partition`` splits an invariant list into orbits under any action,
+and ``PermGroup.orbits`` returns them as ascending tuples.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 
 class GroupError(ValueError):
@@ -120,22 +121,6 @@ class Permutation:
         return "Permutation(" + "".join(str(c) for c in cyc) + ")"
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    representatives: tuple
-    class_of: tuple
-
-    @property
-    def classes(self):
-        buckets = {r: [] for r in self.representatives}
-        for v, c in enumerate(self.class_of):
-            buckets[self.representatives[c]].append(v)
-        return tuple(tuple(b) for b in buckets.values())
-
-    def sizes(self):
-        return tuple(len(c) for c in self.classes)
-
-
 def _orbit_transversal(deg, gens, root):
     """BFS orbit with transversal u[p] mapping root -> p."""
     trans = {root: _identity(deg)}
@@ -199,11 +184,13 @@ def _smallest_moved(p):
 def build_chain(degree, gens, base_prefix=(), known_order=None):
     """Deterministic incremental Schreier-Sims.
 
-    ``base_prefix`` forces the first base points (used for stabilizers);
-    further base points are the smallest point moved by the generator that
-    needs them.  ``known_order`` allows an early exit once the transversal
-    product reaches the target, which makes stabilizer builds cheap; it must
-    be the exact order.  The product reaches the true order only on a
+    ``base_prefix`` forces the first base points (used for stabilizers),
+    each kept even when no generator moves it: its level then has orbit
+    {b} and multiplies the order by 1.  Further base points are the
+    smallest point moved by the generator that needs them.
+    ``known_order`` allows an early exit once the transversal product
+    reaches the target, which makes stabilizer builds cheap; it must be
+    the exact order.  The product reaches the true order only on a
     complete chain, so the exit leaves the chain unchanged.  A wrong order
     raises GroupError only when the chain never reaches it: a smaller order
     that the product hits on the way up stops the build early, unnoticed,
@@ -216,12 +203,10 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     """
     ident = _identity(degree)
     gens = [g for g in gens if g != ident]
-    base = [b for b in base_prefix]
+    base = list(base_prefix)
     for g in gens:
         if all(g[b] == b for b in base):
             base.append(_smallest_moved(g))
-    # drop prefix points nothing moves (keeps chains minimal and orders exact)
-    base = [b for b in base if any(g[b] != b for g in gens)]
 
     sgd = [
         [g for g in gens if all(g[b] == b for b in base[:i])]
@@ -327,40 +312,24 @@ class PermGroup:
         return tuple(sorted(orbit_closure(self.raw_generators, [x])))
 
     def orbits(self):
-        """Full orbit partition, representatives in ascending order."""
-        orbits = orbit_partition(self.raw_generators, range(self.degree))
-        class_of = [0] * self.degree
-        for idx, orb in enumerate(orbits):
-            for w in orb:
-                class_of[w] = idx
-        return OrbitPartition(tuple(min(o) for o in orbits), tuple(class_of))
+        """Orbits as ascending tuples, ordered by least point."""
+        return tuple(
+            tuple(sorted(o))
+            for o in orbit_partition(self.raw_generators, range(self.degree))
+        )
 
     def stabilizer(self, x):
-        """Point stabilizer.  Its chain is built from the group's generators
-        with x first, ended by the known order; a group whose order is
-        known builds no chain of its own."""
+        """Point stabilizer: the tail of the chain built from the group's
+        generators with x as its first base point, ended by the known
+        order; a group whose order is known builds no chain of its own."""
         if not 0 <= x < self.degree:
             raise GroupError(f"point {x} out of range")
         order = self._order if self._order is not None else self.order()
-        chain = build_chain(
+        tail = build_chain(
             self.degree, self.raw_generators, base_prefix=(x,), known_order=order
-        )
-        if chain.base and chain.base[0] == x:
-            tail = chain.tail()
-        else:
-            # x is fixed by the whole group
-            tail = chain
+        ).tail()
         gens = [Permutation._wrap(g) for level in tail.sgd for g in level]
         return PermGroup._with_chain(self.degree, gens, tail)
-
-    def stabilizer_orbits_on(self, x, points):
-        """Sorted orbit sizes of the stabilizer of ``x`` on ``points``.
-
-        ``points`` must be invariant under the stabilizer; an image escaping
-        the set is an error.
-        """
-        stab = self.stabilizer(x)
-        return orbit_sizes_within(stab, points)
 
     def derived_subgroup(self):
         """Normal closure of the generator commutators, with chain."""

@@ -88,8 +88,8 @@ def test_criterion_3_pair_stabilizer_facts():
     ok = (
         pgl_stab.order() == 16
         and psl_stab.order() == 8
-        and cm.pgl.stabilizer_orbits_on(0, opposite) == [8, 8]
-        and cm.psl.stabilizer_orbits_on(0, opposite) == [8, 8]
+        and orbit_sizes_within(cm.pgl.stabilizer(0), opposite) == [8, 8]
+        and orbit_sizes_within(cm.psl.stabilizer(0), opposite) == [8, 8]
         and semiregular
     )
     elapsed = time.time() - t0

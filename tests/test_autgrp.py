@@ -13,7 +13,7 @@ from locdt.autgrp import (
     refine,
     unit_coloring,
 )
-from locdt.graphs import Graph, lift_group, subdivision
+from locdt.graphs import Graph, GraphError, lift_group, subdivision
 from locdt.geometry import (
     complete_bipartite,
     cycle,
@@ -114,6 +114,24 @@ def test_initial_coloring_is_respected():
     assert automorphism_group(g, pinned).order() == 2
 
 
+def test_coloring_must_partition_the_vertices():
+    g = cycle(6)
+    bad = (
+        ((0, 1, 2), (2, 3, 4, 5)),  # vertex 2 twice
+        ((0, 1, 2), (3, 4)),  # vertex 5 missing
+        ((0, 1, 2), (3, 4, 5, 6)),  # vertex 6 out of range
+        ((0, 1, 2), (), (3, 4, 5)),  # an empty cell
+    )
+    for cells in bad:
+        for entry in (automorphism_group, refine):
+            with pytest.raises(GraphError):
+                entry(g, Coloring(cells))
+    # the empty graph's unit coloring has no cells, so none is empty
+    empty = Graph(0, [])
+    assert refine(empty, unit_coloring(empty)).cells == ()
+    assert automorphism_group(empty).order() == 1
+
+
 def test_subdivision_automorphisms_restrict_to_base():
     for g in (petersen(), incidence_pg2(2).graph):
         A = automorphism_group(g)
@@ -201,11 +219,11 @@ def test_isomorphism_agrees_with_networkx():
                 n += k
         return Graph(n, edges)
 
-    def as_nx(g):
+    def as_nx(g, complement):
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges)
-        return h
+        return nx.complement(h) if complement else h
 
     @settings(max_examples=300, deadline=None)
     @given(graphs(), st.randoms(use_true_random=False), st.booleans())
@@ -220,7 +238,11 @@ def test_isomorphism_agrees_with_networkx():
                 edges = (edges - {(a, b), (c, d)}) | swapped
         g2 = Graph(g1.n, edges)
         phi = isomorphism(g1, g2)
-        assert (phi is not None) == nx.is_isomorphic(as_nx(g1), as_nx(g2))
+        # two graphs are isomorphic exactly when their complements are; the
+        # oracle gets whichever pair is sparser (both have g1's edge count)
+        dense = 4 * g1.m > g1.n * (g1.n - 1)
+        oracle = nx.vf2pp_is_isomorphic(as_nx(g1, dense), as_nx(g2, dense))
+        assert (phi is not None) == oracle
         if phi is not None:
             assert _is_isomorphism(g1, g2, phi)
 

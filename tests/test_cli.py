@@ -235,6 +235,21 @@ VERIFY_TABLE_SHA256 = "1032e811590003df553dc8bce41e6f4436c3eee120ada96a6ac8c5efb
 HEXAGON_ROW_SHA256 = "71c839dc600a46fff222a0ef4be474180060d36fc2e3882fc04b77b765e09f87"
 
 
+# sha256 of `analyze kbip 1 3` (a tree, so girth and Moore bound are null) in
+# each output format
+ANALYZE_TREE_SHA256 = {
+    "json": "d75a7971c0d6cf64339ee64b75ecf43291d7d2888a71efc4e141599ebc7b8459",
+    "tsv": "2cbb76cf305c6fc0ce0bb54dd1b47f6e11fbfec66a80cde794e4a463e0650ea0",
+}
+
+
+def test_analyze_tree_report_is_pinned(capsys):
+    for fmt, pinned in ANALYZE_TREE_SHA256.items():
+        code, out, _ = run_cli(capsys, "analyze", "kbip", "1", "3", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned
+
+
 def test_verify_table_cli_and_golden(tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "report.json"
     code, _, err = run_cli(capsys, "verify-table", "-o", str(out_file))

@@ -69,9 +69,23 @@ def test_orbit_basics():
 
 def test_orbits_partition():
     triv = PermGroup.trivial(5)
-    assert triv.orbits().sizes() == (1, 1, 1, 1, 1)
+    assert tuple(map(len, triv.orbits())) == (1, 1, 1, 1, 1)
     part = dihedral_group(6).orbits()
-    assert part.sizes() == (6,)
+    assert tuple(map(len, part)) == (6,)
+
+
+def test_orbits_are_ascending_tuples_by_least_point():
+    G = PermGroup(6, [Permutation.from_cycles(6, [(4, 1), (5, 0, 3)])])
+    assert G.orbits() == ((0, 3, 5), (1, 4), (2,))
+
+
+def test_fixed_point_stabilizer_is_a_chain_tail():
+    # a forced base point that nothing moves keeps its level, of orbit {4}
+    s3 = [Permutation.from_cycles(5, [(0, 1, 2)]), Permutation.from_cycles(5, [(0, 1)])]
+    chain = build_chain(5, [p.images for p in s3], base_prefix=(4,))
+    assert chain.base[0] == 4 and list(chain.trans[0]) == [4]
+    assert chain.order() == 6
+    assert PermGroup(5, s3).stabilizer(4).order() == 6
 
 
 def test_schreier_sims_identity_and_s5():
@@ -138,15 +152,15 @@ def test_stabilizer_pair_orders():
 def test_stabilizer_orbits_on_opposition():
     cm = chamber_model_w32()
     opp = cm.graph.adjacency[0]
-    assert cm.pgl.stabilizer_orbits_on(0, opp) == [8, 8]
-    assert cm.psl.stabilizer_orbits_on(0, opp) == [8, 8]
-    assert cm.m10.stabilizer_orbits_on(0, opp) == [16]
+    assert orbit_sizes_within(cm.pgl.stabilizer(0), opp) == [8, 8]
+    assert orbit_sizes_within(cm.psl.stabilizer(0), opp) == [8, 8]
+    assert orbit_sizes_within(cm.m10.stabilizer(0), opp) == [16]
 
 
 def test_stabilizer_orbits_rejects_noninvariant_set():
     s5 = symmetric_group(5)
     with pytest.raises(GroupError):
-        s5.stabilizer_orbits_on(0, [1, 2])  # {1,2} not closed under stab(0)
+        orbit_sizes_within(s5.stabilizer(0), [1, 2])  # {1,2} not closed under stab(0)
 
 
 def test_derived_subgroups():
@@ -350,7 +364,7 @@ def test_derived_matches_bruteforce_random():
 
 def test_stabilizer_orbits_on_singleton():
     s5 = symmetric_group(5)
-    assert s5.stabilizer_orbits_on(0, [0]) == [1]
+    assert orbit_sizes_within(s5.stabilizer(0), [0]) == [1]
 
 
 def test_generator_file_roundtrip(tmp_path):
@@ -393,7 +407,7 @@ def test_restrict_and_orbit_partition_match_brute_force():
         for k in (2, 3):
             family = list(combinations(range(n), k))
             R = G.restrict(family)
-            got = {frozenset(family[i] for i in c) for c in R.orbits().classes}
+            got = {frozenset(family[i] for i in c) for c in R.orbits()}
             assert got == brute_orbits(family, on_sets)
             actions = {tuple(on_sets(g, t) for t in family) for g in elements}
             assert R.order() == len(actions)
@@ -443,7 +457,7 @@ def test_orbit_primitives_agree_with_sympy():
         G = PermGroup(n, [Permutation(g) for g in gens])
         S = PermutationGroup([SPerm(list(g)) for g in gens])
         sym_orbits = sorted(tuple(sorted(o)) for o in S.orbits())
-        assert sorted(G.orbits().classes) == sym_orbits
+        assert sorted(G.orbits()) == sym_orbits
 
         # a union of orbits gives their sizes; any other set is not invariant
         subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1))

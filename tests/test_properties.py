@@ -174,4 +174,4 @@ def test_lifted_group_acts_on_subdivision():
     lifted = lift_group(s5, smap)
     assert lifted.order() == 120
     part = lifted.orbits()
-    assert sorted(part.sizes()) == [10, 15]
+    assert sorted(map(len, part)) == [10, 15]
