@@ -13,6 +13,12 @@ whole orbit is skipped (McKay & Piperno, "Practical graph isomorphism, II",
 the same as without this pruning.  No canonical form is exposed:
 isomorphism testing searches g2's tree for a leaf with the traces of g1's
 anchor path, by the same leaf search and the same orbit pruning.
+
+A partition is flat, as in that paper: (order, start, size) lists the
+vertices cell by cell, ``start[v]`` is the offset of v's cell in ``order``
+and ``size[o]`` the length of the cell at offset o.  Refinement splits
+cells in place.  Its trace names a split cell by offset, which, given the
+cell sizes that earlier entries fix, determines the cell's position.
 """
 
 from collections import deque
@@ -46,109 +52,114 @@ def unit_coloring(g):
     return Coloring((tuple(range(g.n)),) if g.n else ())
 
 
-def _refine(adj, cells, seed=None):
-    """Coarsest equitable refinement of an ordered partition.
+def _refine(adj, part, seed):
+    """Coarsest equitable refinement of the partition ``part``, in place.
 
-    Returns (cells, trace) where trace records every split (cell position,
-    count keys, fragment sizes) and is invariant under relabeling, which
-    makes it usable for search pruning.
+    Each splitter (a vertex tuple, first from ``seed``) counts its
+    neighbours; the touched cells split stably by count in descending
+    offset, and all but the first largest fragment become splitters.
+    Returns the trace, (cell offset, count keys, fragment sizes) per split
+    and then the cell sizes, which is invariant under relabeling.
     """
-    n = len(adj)
-    cells = [list(c) for c in cells]
-    queue = deque(seed if seed is not None else [tuple(c) for c in cells])
-    cnt = [0] * n
-    trace = []
+    order, start, size = part
+    queue = deque(seed)
+    cnt, trace = [0] * len(order), []
     while queue:
-        splitter = queue.popleft()
         touched = []
-        for s in splitter:
+        for s in queue.popleft():
             for w in adj[s]:
                 if cnt[w] == 0:
                     touched.append(w)
                 cnt[w] += 1
-        where = {}
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                where[v] = ci
-        affected = sorted({where[v] for v in touched})
-        for ci in reversed(affected):
-            cell = cells[ci]
-            if len(cell) == 1:
+        for o in sorted({start[w] for w in touched}, reverse=True):
+            if size[o] == 1:
                 continue
             buckets = {}
-            for v in cell:
+            for v in order[o : o + size[o]]:
                 buckets.setdefault(cnt[v], []).append(v)
             if len(buckets) == 1:
                 continue
             keys = sorted(buckets)
             frags = [buckets[k] for k in keys]
-            cells[ci : ci + 1] = frags
-            trace.append((ci, tuple(keys), tuple(len(f) for f in frags)))
-            # push everything except one largest fragment
-            largest = max(range(len(frags)), key=lambda i: len(frags[i]))
-            for i, f in enumerate(frags):
-                if i != largest:
-                    queue.append(tuple(f))
-        for v in touched:
-            cnt[v] = 0
-    trace.append(tuple(len(c) for c in cells))
-    return cells, tuple(trace)
+            trace.append((o, tuple(keys), tuple(map(len, frags))))
+            _split(part, o, frags)
+            largest = max(frags, key=len)
+            queue.extend(tuple(f) for f in frags if f is not largest)
+        for w in touched:
+            cnt[w] = 0
+    trace.append(tuple(size[o] for o in _cell_offsets(part)))
+    return tuple(trace)
 
 
-def _coloring_cells(g, coloring):
-    """The cells of ``coloring`` as lists; GraphError unless they are
-    non-empty and partition the vertices 0..g.n-1."""
-    cells = [list(c) for c in coloring.cells]
+def _split(part, o, frags):
+    """Write ``frags`` as cells over the cell at offset o; the first keeps o."""
+    order, start, size = part
+    for f in frags:
+        order[o : o + len(f)] = f
+        size[o] = len(f)
+        if f is not frags[0]:
+            for v in f:
+                start[v] = o
+        o += len(f)
+
+
+def _cell_offsets(part):
+    o = 0
+    while o < len(part[0]):
+        yield o
+        o += part[2][o]
+
+
+def _cell(part, o):
+    return part[0][o : o + part[2][o]]
+
+
+def _root(g, coloring):
+    """The refinement of ``coloring`` as a partition, and its trace;
+    GraphError unless the cells are non-empty and partition 0..g.n-1."""
+    cells = coloring.cells
     if not all(cells) or sorted(v for c in cells for v in c) != list(range(g.n)):
         raise GraphError("coloring cells must be non-empty and partition 0..n-1")
-    return cells
+    part = ([], [0] * g.n, [0] * g.n)
+    _split(part, 0, cells)
+    return part, _refine(g.adjacency, part, cells)
 
 
 def refine(g, coloring):
     """Public refinement entry point; idempotent."""
-    cells, _ = _refine(g.adjacency, _coloring_cells(g, coloring))
-    return Coloring(tuple(tuple(c) for c in cells))
+    part, _ = _root(g, coloring)
+    return Coloring(tuple(tuple(_cell(part, o)) for o in _cell_offsets(part)))
 
 
-def _target_cell(cells):
-    """Position of the first smallest non-singleton cell, or -1."""
-    best = -1
-    best_len = None
-    for i, c in enumerate(cells):
-        if len(c) > 1 and (best_len is None or len(c) < best_len):
-            best = i
-            best_len = len(c)
-    return best
+def _target_cell(part):
+    """Offset of the first smallest non-singleton cell, or -1."""
+    cells = [(part[2][o], o) for o in _cell_offsets(part) if part[2][o] > 1]
+    return min(cells)[1] if cells else -1
 
 
-def _individualize(adj, cells, pos, v):
-    """Split cell ``pos`` into ({v}, rest) and refine incrementally."""
-    new_cells = [list(c) for c in cells]
-    rest = [w for w in new_cells[pos] if w != v]
-    new_cells[pos : pos + 1] = [[v], rest]
-    return _refine(adj, new_cells, seed=[(v,)])
+def _individualize(adj, part, v):
+    """A copy of ``part`` with v split off the front of its cell, the rest
+    in order, refined from v; and its trace."""
+    rest = [w for w in _cell(part, part[1][v]) if w != v]
+    part = (part[0][:], part[1][:], part[2][:])
+    _split(part, part[1][v], [(v,), rest])
+    return part, _refine(adj, part, [(v,)])
 
 
-def _leaf_order(cells):
-    return tuple(c[0] for c in cells)
-
-
-def _anchor_path(adj, cells):
-    """Levels (cells, branch cell position), child traces and leaf order of
-    the path from ``cells`` that branches on each target cell's first vertex."""
+def _anchor_path(adj, part):
+    """Levels (partition, branch cell), child traces and leaf order of the
+    path from ``part`` that branches on each target cell's first vertex."""
     path, traces = [], []
-    while True:
-        pos = _target_cell(cells)
-        if pos < 0:
-            return path, traces, _leaf_order(cells)
-        path.append((cells, pos))
-        cells, trace = _individualize(adj, cells, pos, cells[pos][0])
+    while (o := _target_cell(part)) >= 0:
+        path.append((part, _cell(part, o)))
+        part, trace = _individualize(adj, part, part[0][o])
         traces.append(trace)
+    return path, traces, tuple(part[0])
 
 
 def _prefix_gens(gens, path, depth):
     """The generators fixing the branch vertices above ``depth``."""
-    prefix = [cells[pos][0] for cells, pos in path[:depth]]
+    prefix = [cell[0] for _, cell in path[:depth]]
     return [p for p in gens if all(p[b] == b for b in prefix)]
 
 
@@ -160,21 +171,18 @@ def _leaf_map(g1, leaf1, g2, leaf2):
     return tuple(mapping) if isomorphism_failure(g1, g2, mapping) is None else None
 
 
-def find_mapped_leaf(adj, cells, pos, v, traces, depth, accept):
-    """Individualize ``v`` in cell ``pos`` of the level-``depth`` node
-    ``cells``; below it, the first leaf repeating ``traces`` from ``depth``
-    on that ``accept`` maps to a value other than None gives the result."""
-    cells, trace = _individualize(adj, cells, pos, v)
+def find_mapped_leaf(adj, part, v, traces, depth, accept):
+    """Individualize ``v`` in the level-``depth`` partition ``part``; below
+    it, the first leaf repeating ``traces`` from ``depth`` on that
+    ``accept`` maps to a value other than None gives the result."""
+    part, trace = _individualize(adj, part, v)
     if trace != traces[depth]:
         return None
     if depth + 1 == len(traces):
-        return accept(_leaf_order(cells))
-    pos = _target_cell(cells)
-    for w in cells[pos]:
-        found = find_mapped_leaf(adj, cells, pos, w, traces, depth + 1, accept)
-        if found is not None:
-            return found
-    return None
+        return accept(tuple(part[0]))
+    found = (find_mapped_leaf(adj, part, w, traces, depth + 1, accept)
+             for w in _cell(part, _target_cell(part)))
+    return next((f for f in found if f is not None), None)
 
 
 def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
@@ -182,10 +190,8 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
     its order: the product of the orbit sizes along the anchor path."""
     if g.n > limit:
         raise LimitError(f"graph has {g.n} vertices, limit is {limit}")
-    if coloring is None:
-        coloring = unit_coloring(g)
-    cells0, _ = _refine(g.adjacency, _coloring_cells(g, coloring))
-    gens, order = _search_levels(g, *_anchor_path(g.adjacency, cells0))
+    part, _ = _root(g, coloring or unit_coloring(g))
+    gens, order = _search_levels(g, *_anchor_path(g.adjacency, part))
     return PermGroup(g.n, [Permutation(p) for p in gens], order=order)
 
 
@@ -193,23 +199,20 @@ def _search_levels(g, path, traces, leaf):
     """Raw generators and order of the automorphisms of ``g`` that preserve
     the root cells of the anchor path ``path``, whose child traces and leaf
     order are ``traces`` and ``leaf`` (as ``_anchor_path`` returns them)."""
-    adj = g.adjacency
     accept = partial(_leaf_map, g, leaf, g)
-
-    gens = []
-    order = 1
-    for depth, (cells, pos) in enumerate(path):
+    gens, order = [], 1
+    for depth, (part, cell) in enumerate(path):
         # orbit of the branch vertex under generators fixing the prefix;
         # generators found at deeper levels fix it, so level order is safe
         level_gens = _prefix_gens(gens, path, depth)
-        orbit = orbit_closure(level_gens, [cells[pos][0]])
+        orbit = orbit_closure(level_gens, cell[:1])
         # siblings with no mapped leaf, closed under level_gens: an image of
         # a failed sibling under an automorphism fixing the prefix fails too
         failed = set()
-        for v in cells[pos][1:]:
+        for v in cell[1:]:
             if v in orbit or v in failed:
                 continue
-            found = find_mapped_leaf(adj, cells, pos, v, traces, depth, accept)
+            found = find_mapped_leaf(g.adjacency, part, v, traces, depth, accept)
             if found is None:
                 failed |= orbit_closure(level_gens, [v])
                 continue
@@ -240,30 +243,27 @@ def isomorphism(g1, g2, limit=DEFAULT_VERTEX_LIMIT):
         raise LimitError(f"graph size exceeds limit {limit}")
     if g1.n == 0 or not (g1.is_connected() and g2.is_connected()):
         return _isomorphism_components(g1, g2, limit)
-    adj1, adj2 = g1.adjacency, g2.adjacency
-    cells1, root1 = _refine(adj1, [list(range(g1.n))])
-    cells2, root2 = _refine(adj2, [list(range(g2.n))])
+    part1, root1 = _root(g1, unit_coloring(g1))
+    part2, root2 = _root(g2, unit_coloring(g2))
     if root1 != root2:
         return None
-    _, traces1, leaf1 = _anchor_path(adj1, cells1)
-    path2, traces2, leaf2 = _anchor_path(adj2, cells2)
+    _, traces1, leaf1 = _anchor_path(g1.adjacency, part1)
+    path2, traces2, leaf2 = _anchor_path(g2.adjacency, part2)
     accept = partial(_leaf_map, g1, leaf1, g2)
-    if traces2 == traces1:
-        found = accept(leaf2)
-        if found is not None:
-            return found
+    if traces2 == traces1 and (found := accept(leaf2)) is not None:
+        return found
     gens, _ = _search_levels(g2, path2, traces2, leaf2)
     for depth in reversed(range(len(path2))):
         if traces2[:depth] != traces1[:depth]:  # below a mismatched node
             continue
-        cells, pos = path2[depth]
+        part, cell = path2[depth]
         # the branch's own subtree is searched already, so its orbit fails
         level_gens = _prefix_gens(gens, path2, depth)
-        failed = orbit_closure(level_gens, [cells[pos][0]])
-        for v in cells[pos][1:]:
+        failed = orbit_closure(level_gens, cell[:1])
+        for v in cell[1:]:
             if v in failed:
                 continue
-            found = find_mapped_leaf(adj2, cells, pos, v, traces1, depth, accept)
+            found = find_mapped_leaf(g2.adjacency, part, v, traces1, depth, accept)
             if found is not None:
                 return found
             failed |= orbit_closure(level_gens, [v])

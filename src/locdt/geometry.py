@@ -324,14 +324,19 @@ def _span_points(field, x, y):
 def _pair_geometry(field, pts, collinear):
     """Incidence graph of the lines through the pairs x, y of ``pts`` with
     ``collinear(x, y)`` that lie wholly in ``pts``; each line is named by
-    its sorted point indices."""
+    its sorted point indices.  Each line is spanned once: the pairs of
+    ``pts`` on a spanned line are covered, and a covered pair spans it
+    again (two points lie on one line), so it is skipped."""
     rank = {p: i for i, p in enumerate(pts)}
-    lines = set()
-    for x, y in combinations(pts, 2):
-        if collinear(x, y):
-            span = _span_points(field, x, y)
-            if all(p in rank for p in span):
-                lines.add(tuple(sorted(rank[p] for p in span)))
+    lines, covered = set(), set()
+    for (i, x), (j, y) in combinations(enumerate(pts), 2):
+        if (i, j) in covered or not collinear(x, y):
+            continue
+        span = [rank.get(p) for p in _span_points(field, x, y)]
+        on = sorted(r for r in span if r is not None)
+        covered.update(combinations(on, 2))
+        if len(on) == len(span):
+            lines.add(tuple(on))
     lines = sorted(lines)
     return _incidence_graph(pts, lines, lines)
 

@@ -304,16 +304,22 @@ def test_search_generators_are_pinned(name):
 def test_failure_orbits_prune_the_w33_search(monkeypatch):
     """Without failure-orbit pruning the W(3,3) search individualizes
     27 637 times; with it, 766."""
-    calls = []
-    real = autgrp._individualize
-
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(autgrp, "_individualize", counted)
+    calls = _individualize_budget(monkeypatch, 2000)
     assert automorphism_group(incidence_w3(3).graph).order() == 51840
-    assert len(calls) <= 2000
+    assert len(calls) == 766
+
+
+@pytest.mark.parametrize("name, order, nodes", [
+    ("pg2(q=4)", 241920, 179),
+    ("hosi", 252000, 191),
+])
+def test_search_tree_is_pinned(monkeypatch, name, order, nodes):
+    """The exact individualization counts of the search on the
+    constructor's labels: a change of partition layout or of refinement
+    order that walks another tree moves them."""
+    calls = _individualize_budget(monkeypatch, 2000)
+    assert automorphism_group(FAMILY_GRAPHS[name]()).order() == order
+    assert len(calls) == nodes
 
 
 def _shrikhande():
@@ -382,7 +388,7 @@ def test_wrong_known_order_raises_in_stabilizer():
 
 def _individualize_budget(monkeypatch, limit):
     """Count ``_individualize`` calls and raise past ``limit``, so a search
-    that would run for hours fails at once."""
+    that would run for hours fails at once; returns the list of calls."""
     calls = []
     real = autgrp._individualize
 
@@ -393,6 +399,7 @@ def _individualize_budget(monkeypatch, limit):
         return real(*args)
 
     monkeypatch.setattr(autgrp, "_individualize", counted)
+    return calls
 
 
 @pytest.mark.parametrize("name", ["hosi", "pg2(q=4)"])

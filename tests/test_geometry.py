@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from locdt import geometry
 from locdt.autgrp import automorphism_group, isomorphism
 from locdt.graphs import GraphError, analyze, bfs_distances, subdivision
 from locdt.geometry import (
@@ -177,6 +178,26 @@ def test_incidence_geometry_bytes_are_pinned(build, q):
     g = gg.graph
     text = repr((g.edges, g.labels, gg.points, gg.lines))
     assert hashlib.sha256(text.encode()).hexdigest() == GEOMETRY_SHA256[build, q]
+
+
+@pytest.mark.parametrize("build, q, spans, lines", [
+    (incidence_w3, 3, 40, 40),
+    (incidence_hexagon, 3, 481, 364),
+], ids=["w3", "hexagon"])
+def test_pair_geometry_spans_each_line_once(monkeypatch, build, q, spans, lines):
+    """One span per distinct line through a collinear pair: a pair on a line
+    already spanned would span it again.  117 of H(3)'s spans leave the
+    quadric; before this rule it spanned 2 301 times, W(3,3) 240."""
+    spanned = []
+    real = geometry._span_points
+
+    def counted(*args):
+        spanned.append(real(*args))
+        return spanned[-1]
+
+    monkeypatch.setattr(geometry, "_span_points", counted)
+    assert len(build(q).lines) == lines
+    assert len(spanned) == len(set(spanned)) == spans
 
 
 def test_geometry_graph_labels_present():

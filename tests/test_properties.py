@@ -2,7 +2,10 @@
 laws that hold for every constructed family."""
 
 import random
+from collections import Counter
 
+from locdt import autgrp
+from locdt.autgrp import Coloring, refine, unit_coloring
 from locdt.graphs import (
     INF,
     Graph,
@@ -175,3 +178,64 @@ def test_lifted_group_acts_on_subdivision():
     assert lifted.order() == 120
     part = lifted.orbits()
     assert sorted(map(len, part)) == [10, 15]
+
+
+def _refine_samples(rng):
+    """Seeded random graphs, not always connected, on 0, 1 and up to 24
+    vertices, each with the unit colouring and a random ordered one."""
+    for n in [0, 1] + [rng.randint(2, 24) for _ in range(40)]:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs) // 2)))
+        yield g, unit_coloring(g)
+        color = [rng.randrange(3) for _ in range(n)]
+        cells = [[v for v in range(n) if color[v] == c] for c in rng.sample(range(3), 3)]
+        yield g, Coloring(tuple(c for c in cells if c))
+
+
+def test_refine_is_equitable_refinement_and_idempotent():
+    rng = random.Random(20261018)
+    for g, coloring in _refine_samples(rng):
+        cells = refine(g, coloring).cells
+        where = {v: i for i, c in enumerate(cells) for v in c}
+        assert sorted(where) == list(range(g.n))
+        # each cell lies in one input cell, and the input cells keep their
+        # order: refinement only splits cells in place
+        color = {v: i for i, c in enumerate(coloring.cells) for v in c}
+        assert all(len({color[v] for v in c}) == 1 for c in cells)
+        firsts = [color[c[0]] for c in cells]
+        assert firsts == sorted(firsts)
+        # equitable: a cell's vertices have equally many neighbours in
+        # every cell
+        for c in cells:
+            counts = {
+                frozenset(Counter(where[w] for w in g.adjacency[v]).items())
+                for v in c
+            }
+            assert len(counts) == 1
+        assert refine(g, Coloring(cells)).cells == cells
+
+
+def test_refine_trace_invariance_under_relabeling():
+    """The trace names split cells by offset; relabeling the graph and its
+    colouring leaves the root trace, and the trace of individualizing
+    corresponding vertices below it, unchanged, and maps cells onto
+    cells."""
+    rng = random.Random(1103)
+    for g, coloring in _refine_samples(rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        hc = Coloring(tuple(tuple(perm[v] for v in c) for c in coloring.cells))
+        part_g, trace_g = autgrp._root(g, coloring)
+        part_h, trace_h = autgrp._root(h, hc)
+        assert trace_g == trace_h
+        assert [tuple(sorted(perm[v] for v in c)) for c in refine(g, coloring).cells] == list(
+            refine(h, hc).cells
+        )
+        o = autgrp._target_cell(part_g)
+        assert o == autgrp._target_cell(part_h)
+        if o >= 0:
+            v = part_g[0][o]
+            _, child_g = autgrp._individualize(g.adjacency, part_g, v)
+            _, child_h = autgrp._individualize(h.adjacency, part_h, perm[v])
+            assert child_g == child_h
