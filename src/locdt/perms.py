@@ -17,7 +17,7 @@ tuples: edges, pairs, the sides of K_{n,n}, vertex stars);
 and ``PermGroup.orbits`` returns them as ascending tuples.
 """
 
-from collections import deque
+from itertools import product
 
 
 class GroupError(ValueError):
@@ -124,16 +124,14 @@ class Permutation:
 def _orbit_transversal(deg, gens, root):
     """BFS orbit with transversal u[p] mapping root -> p."""
     trans = {root: _identity(deg)}
-    queue = deque([root])
-    while queue:
-        a = queue.popleft()
+    todo = [root]
+    for a in todo:  # grows while scanned
         ua = trans[a]
         for s in gens:
             b = s[a]
             if b not in trans:
-                ub = _mul(ua, s)
-                trans[b] = ub
-                queue.append(b)
+                trans[b] = _mul(ua, s)
+                todo.append(b)
     return trans
 
 
@@ -216,29 +214,22 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     chain = _Chain(degree, base, sgd, trans)
 
     i = len(base) - 1
-    while i >= 0:
-        if known_order is not None and chain.order() == known_order:
-            break
-        restart = False
-        for beta in sorted(trans[i]):
-            for s in sgd[i]:
-                h, j = chain.sift(_mul(trans[i][beta], s), i)
-                if h == ident:
-                    continue
-                if j == len(base):
-                    base.append(_smallest_moved(h))
-                    sgd.append([])
-                    trans.append({})
-                for lvl in range(i + 1, j + 1):
-                    sgd[lvl].append(h)
-                    trans[lvl] = _orbit_transversal(degree, sgd[lvl], base[lvl])
-                i = j
-                restart = True
+    while i >= 0 and (known_order is None or chain.order() != known_order):
+        for beta, s in product(sorted(trans[i]), sgd[i]):
+            h, j = chain.sift(_mul(trans[i][beta], s), i)
+            if h != ident:
                 break
-            if restart:
-                break
-        if not restart:
+        else:  # level i is complete
             i -= 1
+            continue
+        if j == len(base):
+            base.append(_smallest_moved(h))
+            sgd.append([])
+            trans.append({})
+        for lvl in range(i + 1, j + 1):
+            sgd[lvl].append(h)
+            trans[lvl] = _orbit_transversal(degree, sgd[lvl], base[lvl])
+        i = j
     if known_order is not None and chain.order() != known_order:
         raise GroupError(
             f"chain has order {chain.order()}, known order is {known_order}"
@@ -337,28 +328,12 @@ class PermGroup:
         ident = _identity(self.degree)
         sub = []
         chain = _Chain(self.degree, [], [], [])
-
-        def try_add(p):
-            nonlocal chain
-            residue, _ = chain.sift(p)
-            if residue == ident:
-                return False
-            sub.append(p)
-            chain = build_chain(self.degree, sub)
-            return True
-
-        queue = deque()
-        for a in gens:
-            for b in gens:
-                comm = _mul(_mul(_inv(a), _inv(b)), _mul(a, b))
-                if try_add(comm):
-                    queue.append(comm)
-        while queue:
-            d = queue.popleft()
-            for g in gens:
-                conj = _mul(_mul(_inv(g), d), g)
-                if try_add(conj):
-                    queue.append(conj)
+        todo = [_mul(_mul(_inv(a), _inv(b)), _mul(a, b)) for a in gens for b in gens]
+        for p in todo:  # grows while scanned
+            if chain.sift(p)[0] != ident:
+                sub.append(p)
+                chain = build_chain(self.degree, sub)
+                todo.extend(_mul(_mul(_inv(g), p), g) for g in gens)
         return PermGroup._with_chain(
             self.degree, [Permutation._wrap(p) for p in sub], chain
         )
@@ -384,11 +359,12 @@ class PermGroup:
             yield Permutation._wrap(raw)
 
     def index2_subgroups_over_derived(self):
-        """The three index-2 subgroups containing the derived subgroup.
+        """The three index-2 subgroups containing the derived subgroup D.
 
-        Requires the quotient by the derived subgroup to be elementary
-        abelian of order 4; cosets are classified by enumerating elements
-        and sifting against the derived subgroup.
+        Requires G/D to be elementary abelian of order 4.  The generators'
+        cosets generate G/D: with a the first generator outside D, and b the
+        first outside D and aD, the subgroups are <D, a>, <D, b> and
+        <D, ab>, in that order, whatever chain G was built on.
         """
         D = self.derived_subgroup()
         order = self.order()
@@ -397,39 +373,30 @@ class PermGroup:
             raise GroupError(
                 f"quotient by derived subgroup has order {order // dorder}, not 4"
             )
-        reps = []  # non-identity coset representatives
         dchain = D.chain()
         ident = _identity(self.degree)
-        for p in self.elements():
-            raw = p.images
-            residue, _ = dchain.sift(raw)
-            if residue == ident:
+
+        def in_derived(p):
+            return dchain.sift(p)[0] == ident
+
+        a = b = None
+        for g in self.raw_generators:
+            if in_derived(g):
                 continue
-            new = True
-            for r in reps:
-                residue, _ = dchain.sift(_mul(_inv(r), raw))
-                if residue == ident:
-                    new = False
-                    break
-            if new:
-                reps.append(raw)
-                if len(reps) == 3:
-                    break
-        if len(reps) != 3:
-            raise GroupError("could not find three cosets over derived subgroup")
-        for r in reps:
-            residue, _ = dchain.sift(_mul(r, r))
-            if residue != ident:
-                raise GroupError("quotient by derived subgroup is not elementary abelian")
-        out = []
-        for r in reps:
-            H = PermGroup(
-                self.degree,
-                list(D.generators) + [Permutation._wrap(r)],
-            )
-            if H.order() != 2 * dorder:
-                raise GroupError("index-2 candidate has wrong order")
-            out.append(H)
+            if a is None:
+                a = g
+            elif not in_derived(_mul(_inv(a), g)):
+                b = g
+                break
+        # fewer than two cosets: G/D is cyclic
+        reps = [] if b is None else [a, b, _mul(a, b)]
+        if not reps or not all(in_derived(_mul(r, r)) for r in reps):
+            raise GroupError("quotient by derived subgroup is not elementary abelian")
+        out = [
+            PermGroup(self.degree, [*D.generators, Permutation._wrap(r)]) for r in reps
+        ]
+        if any(H.order() != 2 * dorder for H in out):
+            raise GroupError("index-2 candidate has wrong order")
         return out
 
     def is_k_transitive(self, k):

@@ -121,14 +121,17 @@ def test_check_ldt_pgl_recipe_fails(capsys):
     assert rep["first_failure"]["orbit_sizes"] == [8, 8]
 
 
-def test_recipe_full_is_the_default_and_unknown_recipe_exit4(capsys):
+def test_recipe_full_is_the_default_and_unknown_recipe_exit2(capsys):
     base = ("check-ldt", "petersen", "--s", "2", "--format", "tsv")
     code, default, _ = run_cli(capsys, *base)
     assert code == 0
     assert run_cli(capsys, *base, "--recipe", "full")[:2] == (0, default)
     # a list value is one TSV field holding its JSON text
     assert '\nrepresentatives\t[{"vertex": 0, ' in default
-    assert run_cli(capsys, *base, "--recipe", "nope")[0] == 4
+    # an unknown recipe is a bad parameter, rejected by the parser
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--recipe", "nope"])
+    assert exc.value.code == 2
 
 
 def test_check_ldt_bad_generators_exit4(tmp_path, capsys):

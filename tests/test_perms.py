@@ -3,7 +3,12 @@ from itertools import combinations, permutations
 
 import pytest
 
-from locdt.geometry import chamber_model_w32, incidence_pg2, mobius_subgroups
+from locdt.geometry import (
+    chamber_model_w32,
+    incidence_pg2,
+    incidence_w3,
+    mobius_subgroups,
+)
 from locdt.autgrp import automorphism_group
 from locdt.perms import (
     GroupError,
@@ -219,6 +224,29 @@ def test_index2_rejects_wrong_quotient():
     s5 = symmetric_group(5)  # S5/A5 has order 2
     with pytest.raises(GroupError):
         s5.index2_subgroups_over_derived()
+    # C4 from one generator, and from it and its square
+    for cycles in ([[(0, 1, 2, 3)]], [[(0, 1, 2, 3)], [(0, 2), (1, 3)]]):
+        c4 = PermGroup(4, [Permutation.from_cycles(4, c) for c in cycles])
+        with pytest.raises(GroupError, match="not elementary abelian"):
+            c4.index2_subgroups_over_derived()
+
+
+def test_index2_subgroups_do_not_depend_on_the_chain():
+    gens = automorphism_group(incidence_w3(2).graph).raw_generators
+    other = build_chain(30, gens, base_prefix=(29, 17), known_order=1440)
+    default = PermGroup(30, gens)
+    rebased = PermGroup._with_chain(30, [Permutation(g) for g in gens], other)
+    assert default.chain().base != rebased.chain().base
+    assert [H.raw_generators for H in default.index2_subgroups_over_derived()] == [
+        H.raw_generators for H in rebased.index2_subgroups_over_derived()
+    ]
+
+
+def test_index2_subgroups_come_in_generator_coset_order():
+    a = Permutation.from_cycles(4, [(0, 1)])
+    b = Permutation.from_cycles(4, [(2, 3)])
+    subs = PermGroup(4, [a, b]).index2_subgroups_over_derived()
+    assert [H.generators for H in subs] == [(a,), (b,), (a * b,)]
 
 
 def test_transitivity_degrees():
