@@ -1,14 +1,14 @@
 """Permutations and finitely generated permutation groups.
 
 The engine is a deterministic (non-randomised) Schreier-Sims construction
-with explicit transversals; a coset representative's inverse is formed only
-when ``sift`` reads it, never stored.  Base points are chosen as the
-smallest point with nontrivial action; together with sorted orbit scans
-this makes chains, orders and element streams reproducible across runs.
-A point stabilizer is the tail of the chain built from the group's
-generators with the point as its first base point, ended by the known
-order.  Orders are plain Python integers, so arbitrary precision comes for
-free.
+whose transversals are Schreier vectors: a coset representative is formed
+only when first read, and its inverse only when ``sift`` reads it, never
+stored.  Base points are chosen as the smallest point with nontrivial
+action; together with sorted orbit scans this makes chains, orders and
+element streams reproducible across runs.  A point stabilizer is the tail
+of the chain built from the group's generators with the point as its
+first base point, ended by the known order.  Orders are plain Python
+integers, so arbitrary precision comes for free.
 
 Derived actions come from two primitives.  ``PermGroup.restrict`` gives the
 induced action on an invariant family of points or point sets (sorted
@@ -121,24 +121,62 @@ class Permutation:
         return "Permutation(" + "".join(str(c) for c in cyc) + ")"
 
 
-def _orbit_transversal(deg, gens, root):
-    """BFS orbit with transversal u[p] mapping root -> p."""
-    trans = {root: _identity(deg)}
-    todo = [root]
-    for a in todo:  # grows while scanned
-        ua = trans[a]
-        for s in gens:
-            b = s[a]
-            if b not in trans:
-                trans[b] = _mul(ua, s)
-                todo.append(b)
-    return trans
+class _Transversal:
+    """Orbit of ``root`` under ``gens`` as a Schreier vector: each point
+    other than the root maps to its BFS parent and the generator that
+    reaches it.  The coset representative u[p], mapping root -> p, is
+    formed when first read, as u[parent] * s, and memoised; iteration
+    follows BFS order."""
+
+    __slots__ = ("tree", "reps")
+
+    def __init__(self, deg, gens, root):
+        tree = {root: None}
+        todo = [root]
+        for a in todo:  # grows while scanned
+            for s in gens:
+                b = s[a]
+                if b not in tree:
+                    tree[b] = (a, s)
+                    todo.append(b)
+        self.tree = tree
+        self.reps = {root: _identity(deg)}
+
+    def __getitem__(self, p):
+        reps = self.reps
+        u = reps.get(p)
+        if u is not None:
+            return u
+        path = []
+        while u is None:  # climb to the first memoised ancestor
+            a, s = self.tree[p]
+            path.append((p, s))
+            p = a
+            u = reps.get(p)
+        for b, s in reversed(path):
+            u = reps[b] = _mul(u, s)
+        return u
+
+    def get(self, p):
+        u = self.reps.get(p)
+        if u is None and p in self.tree:
+            u = self[p]
+        return u
+
+    def __len__(self):
+        return len(self.tree)
+
+    def __iter__(self):
+        return iter(self.tree)
+
+    def __contains__(self, p):
+        return p in self.tree
 
 
 class _Chain:
     """Stabilizer chain: base points, per-level strong generators and
-    explicit transversals.  ``sift`` inverts the coset representatives it
-    reads; no inverse is stored."""
+    Schreier-vector transversals.  ``sift`` inverts the coset
+    representatives it reads; no inverse is stored."""
 
     __slots__ = ("degree", "base", "sgd", "trans")
 
@@ -194,7 +232,10 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     that the product hits on the way up stops the build early, unnoticed,
     with an incomplete chain.
 
-    Each level stores its transversal and no inverses.  The Schreier
+    Each level stores its orbit as a Schreier vector and no inverses; a
+    coset representative is formed when the Schreier loop, ``sift`` or
+    ``elements`` first reads it.  A stabilizer build that the known order
+    ends before level 0 forms only that level's root.  The Schreier
     generator u_beta s u_{beta^s}^-1 is not formed on its own: ``sift`` of
     u_beta s from level i reaches it at its first step, and a tree edge
     sifts to the identity.
@@ -210,7 +251,7 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
         [g for g in gens if all(g[b] == b for b in base[:i])]
         for i in range(len(base))
     ]
-    trans = [_orbit_transversal(degree, sgd[i], base[i]) for i in range(len(base))]
+    trans = [_Transversal(degree, sgd[i], base[i]) for i in range(len(base))]
     chain = _Chain(degree, base, sgd, trans)
 
     i = len(base) - 1
@@ -225,10 +266,11 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
         if j == len(base):
             base.append(_smallest_moved(h))
             sgd.append([])
-            trans.append({})
         for lvl in range(i + 1, j + 1):
             sgd[lvl].append(h)
-            trans[lvl] = _orbit_transversal(degree, sgd[lvl], base[lvl])
+        trans[i + 1 : j + 1] = [
+            _Transversal(degree, sgd[lvl], base[lvl]) for lvl in range(i + 1, j + 1)
+        ]
         i = j
     if known_order is not None and chain.order() != known_order:
         raise GroupError(

@@ -3,17 +3,21 @@ from itertools import combinations, permutations
 
 import pytest
 
+from locdt import perms
 from locdt.geometry import (
     chamber_model_w32,
+    incidence_hexagon,
     incidence_pg2,
     incidence_w3,
     mobius_subgroups,
 )
 from locdt.autgrp import automorphism_group
+from locdt.graphs import lift_group, subdivision
 from locdt.perms import (
     GroupError,
     PermGroup,
     Permutation,
+    _Transversal,
     alternating_group,
     build_chain,
     cyclic_group,
@@ -91,6 +95,84 @@ def test_fixed_point_stabilizer_is_a_chain_tail():
     assert chain.base[0] == 4 and list(chain.trans[0]) == [4]
     assert chain.order() == 6
     assert PermGroup(5, s3).stabilizer(4).order() == 6
+
+
+def _explicit_transversal(deg, gens, root):
+    """The oracle: every coset representative formed up front by BFS."""
+    trans = {root: tuple(range(deg))}
+    todo = [root]
+    for a in todo:
+        for s in gens:
+            b = s[a]
+            if b not in trans:
+                trans[b] = tuple(map(s.__getitem__, trans[a]))
+                todo.append(b)
+    return trans
+
+
+def _assert_transversal_matches(deg, gens, root, rng):
+    oracle = _explicit_transversal(deg, gens, root)
+    t = _Transversal(deg, gens, root)
+    assert len(t) == len(oracle)
+    assert list(t) == list(oracle)
+    outside = [p for p in range(deg) if p not in oracle]
+    assert all(p not in t and t.get(p) is None for p in outside)
+    # memoised ancestors are met in any read order
+    points = list(oracle)
+    rng.shuffle(points)
+    assert all(t[p] == t.get(p) == oracle[p] for p in points)
+    assert [(p, t[p]) for p in t] == list(oracle.items())
+
+
+def test_schreier_vector_transversal_matches_explicit_bfs():
+    rng = random.Random(20111103)
+    for _ in range(200):
+        deg = rng.randint(1, 30)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            g = list(range(deg))
+            rng.shuffle(g)
+            gens.append(tuple(g))
+        _assert_transversal_matches(deg, gens, rng.randrange(deg), rng)
+
+
+def test_schreier_vector_of_a_long_cycle_is_read_without_recursion():
+    # the Schreier tree of one 2000-cycle is a path of depth 1999
+    deg = 2000
+    cycle = tuple(range(1, deg)) + (0,)
+    t = _Transversal(deg, [cycle], 0)
+    assert t[deg - 1] == tuple(range(deg - 1, deg)) + tuple(range(deg - 1))
+    _assert_transversal_matches(deg, [cycle], 0, random.Random(1))
+    assert cyclic_group(deg).order() == deg
+
+
+def test_stabilizer_chain_forms_only_the_representatives_it_reads(monkeypatch):
+    """The stabilizer chain of a point of S(H(2)), as ``stabilizer`` builds
+    it: the known order ends the build before any sift from level 0, so
+    that level forms only its root.  The product counts are pinned; with
+    every representative formed up front the same builds take 179 and
+    244."""
+    g = incidence_hexagon(2).graph
+    G = automorphism_group(g)
+    _, smap = subdivision(g)
+    lifted = lift_group(G, smap)
+    products = []
+    real = perms._mul
+
+    def counted(p, q):
+        products.append(None)
+        return real(p, q)
+
+    monkeypatch.setattr(perms, "_mul", counted)
+    for x, pinned in ((0, 98), (g.n, 49)):
+        products.clear()
+        chain = build_chain(
+            lifted.degree, lifted.raw_generators, base_prefix=(x,),
+            known_order=G.order(),
+        )
+        assert len(products) == pinned, x
+        assert [len(t.reps) for t in chain.trans] == [1, 12, 1], x
+        assert chain.order() == G.order() == 12096
 
 
 def test_schreier_sims_identity_and_s5():
@@ -510,7 +592,8 @@ def test_orbit_primitives_agree_with_sympy():
         # a chain built with the true order is the blind chain
         known = PermGroup(n, G.generators, order=S.order()).chain()
         blind = build_chain(n, G.raw_generators)
-        assert (known.base, known.sgd, known.trans) == (
-            blind.base, blind.sgd, blind.trans)
+        assert (known.base, known.sgd) == (blind.base, blind.sgd)
+        assert [[(p, t[p]) for p in t] for t in known.trans] == [
+            [(p, t[p]) for p in t] for t in blind.trans]
 
     check()
