@@ -17,8 +17,8 @@ from .graphs import (
     GraphError,
     analyze,
     bfs_distances,
+    check_generators_are_automorphisms,
     girth,
-    isomorphism_failure,
     lift_group,
     moore_and_cage,
     subdivision,
@@ -36,17 +36,6 @@ from .perms import (
 # girths that can occur for valency >= 3 (generalised polygon spectrum
 # plus the degenerate small cases)
 CAGE_GIRTHS = (3, 4, 5, 6, 8, 12)
-
-
-def _check_generators_are_automorphisms(g, G):
-    if G.degree != g.n:
-        raise GroupError(f"group degree {G.degree} does not match graph n={g.n}")
-    for p in G.generators:
-        u = isomorphism_failure(g, g, p.images)
-        if u is not None:
-            raise GroupError(
-                f"generator {p!r} is not an automorphism (fails at vertex {u})"
-            )
 
 
 @dataclass(frozen=True)
@@ -134,7 +123,7 @@ def check_local_sdt(gamma, G, s):
     """
     if s < 1:
         raise ValueError(f"depth must be at least 1, got {s}")
-    _check_generators_are_automorphisms(gamma, G)
+    check_generators_are_automorphisms(gamma, G)
     reps = []
     for x in [orbit[0] for orbit in G.orbits()]:
         dist = bfs_distances(gamma, x)
@@ -199,7 +188,7 @@ def check_arc_transitive(g, G, s, cap=10**7):
     Arcs are materialised as tuples and split into orbits under the
     pointwise generator action.
     """
-    _check_generators_are_automorphisms(g, G)
+    check_generators_are_automorphisms(g, G)
     arcs = enumerate_arcs(g, s, cap)
     orbit_count = len(orbit_partition(G.raw_generators, arcs, on_tuples))
     all_geo = True

@@ -1,8 +1,10 @@
 """Simple undirected graphs and the derived constructions used everywhere
 else in the package: subdivision, line graph, distance-2 components, metric
 invariants (girth, diameter, spheres) and the Moore bound.  ``analyze``
-takes every invariant from one BFS pass per vertex, the subdivision
-diameter included: it is read off the graph's distances, not off S(G).
+takes every invariant, the subdivision diameter included, from BFS rows of
+one representative per orbit of a group of automorphisms and of its
+neighbours; without a group, every vertex is a representative.  The
+subdivision diameter is read off the graph's distances, not off S(G).
 
 Adjacency lists are sorted ascending and all traversals run in index order,
 so every result is reproducible bit for bit.  The subdivision index layout
@@ -415,37 +417,71 @@ def moore_and_cage(g, gi):
     return mb, g.n == mb
 
 
-def analyze(g):
+def check_generators_are_automorphisms(g, G):
+    """Raise GroupError unless ``G`` acts on the vertices of ``g`` and every
+    generator is an automorphism of ``g``."""
+    if G.degree != g.n:
+        raise GroupError(f"group degree {G.degree} does not match graph n={g.n}")
+    for p in G.generators:
+        u = isomorphism_failure(g, g, p.images)
+        if u is not None:
+            raise GroupError(
+                f"generator {p!r} is not an automorphism (fails at vertex {u})"
+            )
+
+
+def analyze(g, group=None):
     """Full invariant bundle: sizes, valency, girth, diameter, subdivision
     diameter, delta, bipartiteness, Moore bound and cage flag.
 
-    One BFS pass per vertex gives every distance row and the girth;
-    connectivity and bipartiteness are read off row 0 (no INF, and no edge
-    joins two vertices at equal distance from vertex 0).
+    Every invariant is fixed by automorphisms, so BFS rows are needed only
+    for one representative r of each orbit of ``group`` (a group of
+    automorphisms of g; without one, every vertex is its own
+    representative) and for r's neighbours.  The girth is the least closed
+    walk a non-tree edge closes from those sources: each walk contains a
+    cycle, and some representative lies on a shortest cycle.  d is the
+    largest eccentricity among them.  Connectivity and bipartiteness are
+    read off the row of vertex 0, a representative as the least point of
+    its orbit (no INF, and no edge joins two vertices at equal distance
+    from vertex 0).
 
     D = diam S(g) comes from g's own distances.  In S(g) a vertex v and the
     edge vertex of ab lie 2 min(d(v, a), d(v, b)) + 1 apart, and two edge
     vertices 2 + 2 * (least endpoint distance).  So D is 2d + 2 when two
     edges have all four endpoint distances equal to d, else 2d + 1 when
     some vertex is at distance d from both ends of an edge, and 2d if not.
+    Both tests are fixed by automorphisms, and an automorphism taking a to
+    its representative r maps the edge ab onto an edge rb', so scanning the
+    edges at the representatives covers every edge.
     """
-    passes = [_bfs_closing(g, s) for s in range(g.n)]
+    if group is None:
+        reps = range(g.n)
+    else:
+        check_generators_are_automorphisms(g, group)
+        reps = {orbit[0] for orbit in group.orbits()}
+    adj = g.adjacency
+    sources = {w for r in reps for w in adj[r]}.union(reps)
+    passes = {s: _bfs_closing(g, s) for s in sources}
     if g.n == 0 or INF in passes[0][0]:
         raise GraphError("analysis requires a connected nonempty graph")
-    dist = [row for row, _ in passes]
-    gi = min(walk for _, walk in passes)
+    gi = min(walk for _, walk in passes.values())
     lo, hi = g.degree_range()
-    d = max(map(max, dist))
-    far = [frozenset(v for v, x in enumerate(row) if x == d) for row in dist]
+    d = max(max(row) for row, _ in passes.values())
+    far = {
+        s: frozenset(v for v, x in enumerate(row) if x == d)
+        for s, (row, _) in passes.items()
+    }
     dd = 2 * d
-    for a, b in g.edges:
-        both = far[a] & far[b]
-        if any(w in both for u in both for w in g.adjacency[u]):
+    # each edge at a representative once: from its lower end when both are
+    edges = ((a, b) for a in reps for b in adj[a] if b > a or b not in reps)
+    for both in (far[a] & far[b] for a, b in edges):
+        if any(w in both for u in both for w in adj[u]):
             dd = 2 * d + 2
             break
         if both:
             dd = 2 * d + 1
     mb, cage = moore_and_cage(g, gi)
+    row0 = passes[0][0]
     return AnalysisReport(
         n=g.n,
         m=g.m,
@@ -455,7 +491,7 @@ def analyze(g):
         diameter=d,
         subdivision_diameter=dd,
         delta=dd - 2 * d,
-        bipartite=all(dist[0][a] != dist[0][b] for a, b in g.edges),
+        bipartite=all(row0[a] != row0[b] for a, b in g.edges),
         moore_bound=mb,
         is_cage=cage,
     )

@@ -1,13 +1,14 @@
 """End-to-end verification harness for the classified rows.
 
-Each case builds its graph, checks the expected invariant columns
-(|V|, girth, diameter, subdivision diameter), selects the acting group by
-the row's rule, lifts it to the subdivision graph and runs the local
-distance-transitivity test once, at full depth D.  The depth-2d verdict is
-read off that run: D >= 2d, so its spheres up to 2d are the whole depth-2d
-test.  Positive rows must pass at both depths; the shipped negative cases
-must fail (a verifier that cannot fail is broken).  Reports are plain dicts
-with a fixed key order so serialised output is byte-stable.
+Each case builds its graph, selects the acting group by the row's rule,
+checks the expected invariant columns (|V|, girth, diameter, subdivision
+diameter), which ``analyze`` takes from the orbit representatives of a
+group of automorphisms, lifts the group to the subdivision graph and runs
+the local distance-transitivity test once, at full depth D.  The depth-2d
+verdict is read off that run: D >= 2d, so its spheres up to 2d are the
+whole depth-2d test.  Positive rows must pass at both depths; the shipped
+negative cases must fail (a verifier that cannot fail is broken).  Reports
+are plain dicts with a fixed key order so serialised output is byte-stable.
 """
 
 import json
@@ -161,18 +162,20 @@ def chamber_groups_on_w32():
     }
 
 
-def _select_group(case, g, sub, smap, depth):
-    """Group per the case rule; returns (group, info dict, LDT result).  The
-    LDT result is the group's run on ``sub`` at its diameter ``depth`` when
-    the rule has already made it, and None otherwise."""
+def _select_group(case, g, sub, smap):
+    """Group per the case rule; returns (group, info dict, g's invariants,
+    LDT result).  The invariants come from the orbit representatives of the
+    group the rule has at hand: Aut(g) for the index-2 pick, which needs
+    D = diam S(g) before it picks, and the selected group otherwise.  The
+    LDT result is the group's run on ``sub`` at depth D when the rule has
+    already made it, and None otherwise."""
     rule = case.group_rule
-    if rule == "full":
-        G = automorphism_group(g)
-        return G, {"rule": rule, "order": G.order()}, None
     if rule == "index2-sdt-pick":
         full = automorphism_group(g)
+        rep = analyze(g, full)
+        D = rep.subdivision_diameter
         subs = full.index2_subgroups_over_derived()
-        results = [check_local_sdt(sub, lift_group(H, smap), depth) for H in subs]
+        results = [check_local_sdt(sub, lift_group(H, smap), D) for H in subs]
         verdicts = [r.verdict for r in results]
         passing = [i for i, v in enumerate(verdicts) if v]
         if len(passing) != 1:
@@ -188,19 +191,22 @@ def _select_group(case, g, sub, smap, depth):
             "derived_order": full.order() // 4,
             "index2_orders": [H.order() for H in subs],
             "index2_verdicts": verdicts,
-        }, results[passing[0]]
-    if rule.startswith("chamber-"):
-        name = rule.split("-", 1)[1]
-        G = chamber_groups_on_w32()[name]
-        return G, {"rule": rule, "order": G.order()}, None
-    raise ValueError(f"unknown group rule {case.group_rule!r}")
+        }, rep, results[passing[0]]
+    if rule == "full":
+        G = automorphism_group(g)
+    elif rule.startswith("chamber-"):
+        G = chamber_groups_on_w32()[rule.split("-", 1)[1]]
+    else:
+        raise ValueError(f"unknown group rule {case.group_rule!r}")
+    return G, {"rule": rule, "order": G.order()}, analyze(g, G), None
 
 
 def verify_case(case):
     """Structured row report; mismatches are recorded, never raised."""
     failures = []
     g = build_constructor(case.constructor, case.params)
-    rep = analyze(g)
+    sub, smap = subdivision(g)
+    group, group_info, rep, ldt_full = _select_group(case, g, sub, smap)
     expected = {
         "n": case.expected[0],
         "girth": case.expected[1],
@@ -212,10 +218,8 @@ def verify_case(case):
         if got[key] != want:
             failures.append(f"{key}: expected {want}, got {got[key]}")
 
-    sub, smap = subdivision(g)
-    D = rep.subdivision_diameter
-    group, group_info, ldt_full = _select_group(case, g, sub, smap, D)
     if ldt_full is None:
+        D = rep.subdivision_diameter
         ldt_full = check_local_sdt(sub, lift_group(group, smap), D)
     ldt_2d = ldt_full.at_depth(2 * rep.diameter)
     if ldt_2d.verdict != ldt_full.verdict:

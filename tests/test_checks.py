@@ -336,7 +336,8 @@ def test_ldt_at_depth_matches_direct_run(row):
     g = build_constructor(case.constructor, case.params)
     sub, smap = subdivision(g)
     D = diameter(sub)
-    G, _, _ = _select_group(case, g, sub, smap, D)
+    G, _, rep, _ = _select_group(case, g, sub, smap)
+    assert rep.subdivision_diameter == D
     lifted = lift_group(G, smap)
     full = check_local_sdt(sub, lifted, D)
     for s in range(1, D + 1):

@@ -1,5 +1,7 @@
 import pytest
 
+from locdt import graphs
+from locdt.autgrp import automorphism_group
 from locdt.graphs import (
     INF,
     Graph,
@@ -22,13 +24,14 @@ from locdt.geometry import (
     complete_bipartite,
     cycle,
     hoffman_singleton,
+    incidence_hexagon,
     incidence_pg2,
     incidence_w3,
     petersen,
     petersen_s5,
 )
 from locdt.harness import CONSTRUCTORS, build_constructor
-from locdt.perms import GroupError, Permutation
+from locdt.perms import GroupError, Permutation, PermGroup
 
 
 def test_graph_validation():
@@ -256,10 +259,15 @@ def test_analyze_cycles():
 
 
 def _check_subdivision_diameter(g):
-    """analyze's subdivision diameter against a BFS over S(g); returns
-    delta, which says which of 2d, 2d+1 and 2d+2 it is."""
+    """analyze's subdivision diameter against a BFS over S(g), and the
+    orbit-representative path against the all-sources path under Aut(g),
+    the subgroup its first generator generates and the trivial group;
+    returns delta, which says which of 2d, 2d+1 and 2d+2 it is."""
     rep = analyze(g)
     assert rep.subdivision_diameter == diameter(subdivision(g)[0])
+    full = automorphism_group(g)
+    for G in (full, PermGroup(g.n, full.generators[:1]), PermGroup(g.n, [])):
+        assert analyze(g, G) == rep
     return rep.delta
 
 
@@ -299,6 +307,44 @@ def test_subdivision_diameter_matches_bfs_on_random_graphs():
         _check_subdivision_diameter(g)
 
     check()
+
+
+@pytest.mark.parametrize("g", [Graph(0, []), Graph(4, [(0, 1), (2, 3)])])
+def test_analyze_rejects_empty_and_disconnected_graphs_on_both_paths(g):
+    for group in (None, automorphism_group(g), PermGroup(g.n, [])):
+        with pytest.raises(GraphError):
+            analyze(g, group)
+
+
+def test_analyze_rejects_a_group_that_is_not_of_automorphisms():
+    g = petersen()
+    swap = Permutation.from_cycles(10, [(0, 1)])  # an edge, not an automorphism
+    with pytest.raises(GroupError, match="not an automorphism"):
+        analyze(g, PermGroup(10, [swap]))
+    with pytest.raises(GroupError, match="does not match"):
+        analyze(g, PermGroup(11, []))
+
+
+def test_analyze_runs_bfs_from_representatives_and_their_neighbours(monkeypatch):
+    """Under its full automorphism group, H(3) is vertex-transitive: one
+    representative and its 4 neighbours, 5 BFS rows where the all-sources
+    path runs 728.  W(3,3) has two orbits, points and lines, whose
+    representatives are adjacent: 1 + 4 + 3 rows, not 80."""
+    cases = [(gg.graph, rows) for gg, rows in
+             ((incidence_hexagon(3), 5), (incidence_w3(3), 8))]
+    groups = [automorphism_group(g) for g, _ in cases]
+    sources = []
+    real = graphs._bfs_closing
+
+    def counted(g, src):
+        sources.append(src)
+        return real(g, src)
+
+    monkeypatch.setattr(graphs, "_bfs_closing", counted)
+    for (g, rows), G in zip(cases, groups):
+        sources.clear()
+        assert analyze(g, G).is_cage
+        assert len(sources) == rows
 
 
 def test_girth_and_bipartiteness_match_networkx():
