@@ -10,9 +10,12 @@ as well: a sibling with no leaf equivalent to the anchor leaf has none
 anywhere in its orbit under the automorphisms that fix the prefix, so that
 whole orbit is skipped (McKay & Piperno, "Practical graph isomorphism, II",
 2014).  The skipped searches would all fail, so the generators found are
-the same as without this pruning.  No canonical form is exposed:
-isomorphism testing searches g2's tree for a leaf with the traces of g1's
-anchor path, by the same leaf search and the same orbit pruning.
+the same as without this pruning.  A sibling's refinement stops at its
+first trace entry that differs from the anchor path's (McKay & Piperno
+2014), so the search tree is unchanged and only rejected nodes do less
+work.  No canonical form is exposed: isomorphism testing searches g2's
+tree for a leaf with the traces of g1's anchor path, by the same leaf
+search and the same orbit pruning.
 
 A partition is flat, as in that paper: (order, start, size) lists the
 vertices cell by cell, ``start[v]`` is the offset of v's cell in ``order``
@@ -52,7 +55,7 @@ def unit_coloring(g):
     return Coloring((tuple(range(g.n)),) if g.n else ())
 
 
-def _refine(adj, part, seed):
+def _refine(adj, part, seed, expected=None):
     """Coarsest equitable refinement of the partition ``part``, in place.
 
     Each splitter (a vertex tuple, first from ``seed``) counts its
@@ -60,6 +63,12 @@ def _refine(adj, part, seed):
     offset, and all but the first largest fragment become splitters.
     Returns the trace, (cell offset, count keys, fragment sizes) per split
     and then the cell sizes, which is invariant under relabeling.
+
+    Given an ``expected`` trace, the refinement stops at its first split
+    entry that differs from the entry of ``expected`` at the same index
+    (McKay & Piperno 2014), before making that split, and returns the
+    entries so far with the differing one, a trace that can never equal
+    ``expected``; ``part`` is then left half refined.
     """
     order, start, size = part
     queue = deque(seed)
@@ -81,7 +90,12 @@ def _refine(adj, part, seed):
                 continue
             keys = sorted(buckets)
             frags = [buckets[k] for k in keys]
-            trace.append((o, tuple(keys), tuple(map(len, frags))))
+            entry = (o, tuple(keys), tuple(map(len, frags)))
+            trace.append(entry)
+            # ``expected`` ends with its cell sizes, which no split entry
+            # equals, so this never reads past its end
+            if expected is not None and entry != expected[len(trace) - 1]:
+                return tuple(trace)
             _split(part, o, frags)
             largest = max(frags, key=len)
             queue.extend(tuple(f) for f in frags if f is not largest)
@@ -137,13 +151,14 @@ def _target_cell(part):
     return min(cells)[1] if cells else -1
 
 
-def _individualize(adj, part, v):
+def _individualize(adj, part, v, expected=None):
     """A copy of ``part`` with v split off the front of its cell, the rest
-    in order, refined from v; and its trace."""
+    in order, refined from v up to where its trace leaves ``expected`` (see
+    ``_refine``); and its trace."""
     rest = [w for w in _cell(part, part[1][v]) if w != v]
     part = (part[0][:], part[1][:], part[2][:])
     _split(part, part[1][v], [(v,), rest])
-    return part, _refine(adj, part, [(v,)])
+    return part, _refine(adj, part, [(v,)], expected)
 
 
 def _anchor_path(adj, part):
@@ -174,8 +189,11 @@ def _leaf_map(g1, leaf1, g2, leaf2):
 def find_mapped_leaf(adj, part, v, traces, depth, accept):
     """Individualize ``v`` in the level-``depth`` partition ``part``; below
     it, the first leaf repeating ``traces`` from ``depth`` on that
-    ``accept`` maps to a value other than None gives the result."""
-    part, trace = _individualize(adj, part, v)
+    ``accept`` maps to a value other than None gives the result.  A node's
+    refinement stops at its first trace entry that differs from
+    ``traces[depth]`` (McKay & Piperno 2014), so a rejected node costs only
+    its matching prefix; the nodes visited are the same."""
+    part, trace = _individualize(adj, part, v, traces[depth])
     if trace != traces[depth]:
         return None
     if depth + 1 == len(traces):

@@ -3,7 +3,7 @@ else in the package: subdivision, line graph, distance-2 components, metric
 invariants (girth, diameter, spheres) and the Moore bound.  ``analyze``
 takes every invariant, the subdivision diameter included, from BFS rows of
 one representative per orbit of a group of automorphisms and of its
-neighbours; without a group, every vertex is a representative.  The
+higher neighbours; without a group, every vertex is a representative.  The
 subdivision diameter is read off the graph's distances, not off S(G).
 
 Adjacency lists are sorted ascending and all traversals run in index order,
@@ -437,10 +437,10 @@ def analyze(g, group=None):
     Every invariant is fixed by automorphisms, so BFS rows are needed only
     for one representative r of each orbit of ``group`` (a group of
     automorphisms of g; without one, every vertex is its own
-    representative) and for r's neighbours.  The girth is the least closed
-    walk a non-tree edge closes from those sources: each walk contains a
-    cycle, and some representative lies on a shortest cycle.  d is the
-    largest eccentricity among them.  Connectivity and bipartiteness are
+    representative) and for r's neighbours above r.  The girth is the
+    least closed walk a non-tree edge closes from those sources: each walk
+    contains a cycle, and some representative lies on a shortest cycle.  d
+    is the largest eccentricity among them.  Connectivity and bipartiteness are
     read off the row of vertex 0, a representative as the least point of
     its orbit (no INF, and no edge joins two vertices at equal distance
     from vertex 0).
@@ -450,9 +450,12 @@ def analyze(g, group=None):
     vertices 2 + 2 * (least endpoint distance).  So D is 2d + 2 when two
     edges have all four endpoint distances equal to d, else 2d + 1 when
     some vertex is at distance d from both ends of an edge, and 2d if not.
-    Both tests are fixed by automorphisms, and an automorphism taking a to
-    its representative r maps the edge ab onto an edge rb', so scanning the
-    edges at the representatives covers every edge.
+    Both tests are fixed by automorphisms.  Among the images of an edge,
+    one whose lower end is least overall has there the least point of that
+    end's orbit, its representative r, else an automorphism would take it
+    to an image with a lower end.  So scanning the edges rb with b > r
+    covers every edge, and only those b need BFS rows besides the
+    representatives.
     """
     if group is None:
         reps = range(g.n)
@@ -460,7 +463,8 @@ def analyze(g, group=None):
         check_generators_are_automorphisms(g, group)
         reps = {orbit[0] for orbit in group.orbits()}
     adj = g.adjacency
-    sources = {w for r in reps for w in adj[r]}.union(reps)
+    edges = [(r, b) for r in reps for b in adj[r] if b > r]
+    sources = {b for _, b in edges}.union(reps)
     passes = {s: _bfs_closing(g, s) for s in sources}
     if g.n == 0 or INF in passes[0][0]:
         raise GraphError("analysis requires a connected nonempty graph")
@@ -472,8 +476,6 @@ def analyze(g, group=None):
         for s, (row, _) in passes.items()
     }
     dd = 2 * d
-    # each edge at a representative once: from its lower end when both are
-    edges = ((a, b) for a in reps for b in adj[a] if b > a or b not in reps)
     for both in (far[a] & far[b] for a, b in edges):
         if any(w in both for u in both for w in adj[u]):
             dd = 2 * d + 2

@@ -345,6 +345,28 @@ def test_search_tree_is_pinned(monkeypatch, name, order, nodes):
     assert len(calls) == nodes
 
 
+@pytest.mark.parametrize("q, order, splits", [
+    (4, 3916800, 5041),
+    (3, 51840, 6501),
+])
+def test_trace_abort_split_counts_are_pinned(monkeypatch, q, order, splits):
+    """The ``_split`` calls of the search on the constructor's W(3,q): a
+    sibling's refinement stops at its first trace entry that differs from
+    the anchor path's.  The 144 rejected siblings on W(3,4) all differ at
+    the second of 108 entries, the 432 on W(3,3) at the 11th of 18.
+    Refining every sibling to the end made 20 305 and 7 797 splits."""
+    calls = []
+    real = autgrp._split
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(autgrp, "_split", counted)
+    assert automorphism_group(incidence_w3(q).graph).order() == order
+    assert len(calls) == splits
+
+
 def _shrikhande():
     """Cayley graph of Z4 x Z4 with connection set +-(1,0), +-(0,1), +-(1,1)."""
     steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}

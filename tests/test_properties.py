@@ -239,3 +239,42 @@ def test_refine_trace_invariance_under_relabeling():
             _, child_g = autgrp._individualize(g.adjacency, part_g, v)
             _, child_h = autgrp._individualize(h.adjacency, part_h, perm[v])
             assert child_g == child_h
+
+
+def _random_regular(rng, n, d):
+    """A random simple d-regular graph on n vertices (pairing model with
+    rejection); unit refinement leaves it one cell whose vertices are
+    seldom all alike, so sibling traces differ."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
+        if len(edges) == n * d // 2 and all(u != v for u, v in edges):
+            return Graph(n, sorted(edges))
+
+
+def test_refine_stops_at_first_trace_difference():
+    """Along the anchor path of random regular graphs: given its own full
+    trace as ``expected``, an individualization leaves the same partition
+    and trace as without one.  Given a sibling's trace, it returns its own
+    trace cut just after the first entry that differs, which therefore
+    differs from the sibling's."""
+    rng = random.Random(1406)
+    aborted = 0
+    for _ in range(30):
+        g = _random_regular(rng, rng.randrange(8, 25, 2), rng.choice((3, 4)))
+        adj = g.adjacency
+        path, _, _ = autgrp._anchor_path(adj, autgrp._root(g, unit_coloring(g))[0])
+        for part, cell in path:
+            children = {v: autgrp._individualize(adj, part, v) for v in cell[:6]}
+            for v, (child, trace) in children.items():
+                assert autgrp._individualize(adj, part, v, trace) == (child, trace)
+                for _, other in children.values():
+                    got = autgrp._individualize(adj, part, v, other)[1]
+                    if trace == other:
+                        assert got == trace
+                        continue
+                    k = next(i for i, (a, b) in enumerate(zip(trace, other)) if a != b)
+                    assert got == trace[: k + 1] != other
+                    aborted += got != trace
+    assert aborted > 500
