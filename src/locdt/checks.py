@@ -4,7 +4,10 @@ graphs, cage certification, and the complete-graph criteria.
 
 Local distance transitivity is decided per orbit representative only: the
 stabilizers of two vertices in the same orbit are conjugate, so their orbit
-counts on distance spheres agree exactly (not heuristically).
+counts on distance spheres agree exactly (not heuristically).  s-arc
+transitivity rests on the same fact: the orbits on s-arcs are counted by
+orbit-stabilizer down a tree of arc stabilizers, one node per orbit
+representative, and the arcs themselves are counted but never listed.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -161,46 +164,68 @@ class ArcTransResult:
         }
 
 
-def enumerate_arcs(g, s, cap=10**7):
-    """All s-arcs (non-backtracking walks) in lexicographic order."""
-    if s < 1:
-        raise ValueError(f"arc length must be at least 1, got {s}")
-    adj = g.adjacency
-    arcs = []
-    stack = [(v,) for v in reversed(range(g.n))]
-    while stack:
-        walk = stack.pop()
-        if len(walk) == s + 1:
-            arcs.append(walk)
-            if len(arcs) > cap:
-                raise LimitError(f"more than {cap} arcs of length {s}")
-            continue
-        prev = walk[-2] if len(walk) >= 2 else -1
-        for w in reversed(adj[walk[-1]]):
-            if w != prev:
-                stack.append(walk + (w,))
-    return arcs
+def _count_arcs(adj, s, cap):
+    """Number of s-arcs, counted as non-backtracking walks per directed
+    edge; more than ``cap`` raises LimitError.  A count is held at cap + 1
+    once it passes cap: a held term makes its sum pass cap too, so every
+    held count is min(true count, cap + 1) and the numbers stay small."""
+    held = max(cap, 0) + 1
+    # walks[v][u]: the walks of the current length whose last step is u -> v
+    walks = [dict.fromkeys(nbrs, 1) for nbrs in adj]
+    for _ in range(s - 1):
+        into = [sum(w.values()) for w in walks]
+        walks = [
+            {u: min(into[u] - walks[u][v], held) for u in nbrs}
+            for v, nbrs in enumerate(adj)
+        ]
+    total = sum(sum(w.values()) for w in walks)
+    if total >= held:
+        raise LimitError(f"more than {cap} arcs of length {s}")
+    return total
 
 
 def check_arc_transitive(g, G, s, cap=10**7):
     """Does G act transitively on the s-arcs of g?
 
-    Arcs are materialised as tuples and split into orbits under the
-    pointwise generator action.
+    The arcs are counted, never listed.  Orbits are counted by
+    orbit-stabilizer down a tree of arc stabilizers (Seress 2003, ch. 4):
+    the G-orbits on (k+1)-arcs are, for each representative r of the
+    orbits on k-arcs, the orbits of the pointwise stabilizer G_r on the
+    extensions N(r_k) - {r_(k-1)}.  The tree starts at the least point of
+    each vertex orbit, extends a node by the least point w of each orbit of
+    its stabilizer H and descends into H_w; an orbit of size 1 passes H
+    down unchanged.  ``orbit_count`` is the number of leaves at depth s.
+    Distance is G-invariant, so ``all_geodesic`` is read off the leaves.
+
+    Every stabilizer below G trusts its chain's known order.  A stabilizer
+    that came out too small has more orbits than the true one, so an
+    error can only add orbits: a false "not transitive", never a false
+    pass.
     """
     check_generators_are_automorphisms(g, G)
-    arcs = enumerate_arcs(g, s, cap)
-    orbit_count = len(orbit_partition(G.raw_generators, arcs, on_tuples))
-    all_geo = True
-    dist_cache = {}
-    for arc in arcs:
-        v0 = arc[0]
-        if v0 not in dist_cache:
-            dist_cache[v0] = bfs_distances(g, v0)
-        if dist_cache[v0][arc[-1]] != s:
-            all_geo = False
-            break
-    return ArcTransResult(s, len(arcs), orbit_count, all_geo)
+    if s < 1:
+        raise ValueError(f"arc length must be at least 1, got {s}")
+    adj = g.adjacency
+    arc_count = _count_arcs(adj, s, cap)
+    # (first vertex, previous vertex, last vertex, length, arc stabilizer)
+    todo = [
+        (o[0], -1, o[0], 0, G if len(o) == 1 else G.stabilizer(o[0]))
+        for o in G.orbits()
+    ]
+    leaves = []
+    while todo:
+        first, prev, last, k, H = todo.pop()
+        if k == s:
+            leaves.append((first, last))
+            continue
+        ext = [w for w in adj[last] if w != prev]
+        for orbit in orbit_partition(H.raw_generators, ext):
+            w = min(orbit)
+            down = H if k + 1 == s or len(orbit) == 1 else H.stabilizer(w)
+            todo.append((first, last, w, k + 1, down))
+    dist = {x: bfs_distances(g, x) for x in {first for first, _ in leaves}}
+    all_geo = all(dist[first][last] == s for first, last in leaves)
+    return ArcTransResult(s, arc_count, len(leaves), all_geo)
 
 
 @dataclass(frozen=True)

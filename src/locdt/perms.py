@@ -17,7 +17,7 @@ tuples: edges, pairs, the sides of K_{n,n}, vertex stars);
 and ``PermGroup.orbits`` returns them as ascending tuples.
 """
 
-from itertools import product
+from itertools import islice, product
 
 
 class GroupError(ValueError):
@@ -237,8 +237,13 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     ``elements`` first reads it.  A stabilizer build that the known order
     ends before level 0 forms only that level's root.  The Schreier
     generator u_beta s u_{beta^s}^-1 is not formed on its own: ``sift`` of
-    u_beta s from level i reaches it at its first step, and a tree edge
-    sifts to the identity.
+    u_beta s from level i reaches it at its first step.  A pair whose
+    u_beta s is itself a coset representative sifts to the identity and is
+    skipped unformed: a tree edge beta -> beta^s, or the reverse of one
+    when s is an involution.  Each level resumes its pair scan after the
+    pair that last gave a new strong generator, and starts over only when
+    its own generators change: the earlier pairs sifted to the identity
+    through a complete chain of a subgroup of the one below it now.
     """
     ident = _identity(degree)
     gens = [g for g in gens if g != ident]
@@ -253,12 +258,32 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     ]
     trans = [_Transversal(degree, sgd[i], base[i]) for i in range(len(base))]
     chain = _Chain(degree, base, sgd, trans)
+    scanned = [0] * len(base)  # per level, pairs known to sift to the identity
+    involution = {}  # id(generator) -> s^2 == 1, for the generators of this build
+
+    def is_involution(s):
+        known = involution.get(id(s))
+        if known is None:
+            known = involution[id(s)] = tuple(map(s.__getitem__, s)) == ident
+        return known
 
     i = len(base) - 1
     while i >= 0 and (known_order is None or chain.order() != known_order):
-        for beta, s in product(sorted(trans[i]), sgd[i]):
+        tree = trans[i].tree
+        pairs = islice(product(sorted(tree), sgd[i]), scanned[i], None)
+        for c, (beta, s) in enumerate(pairs, scanned[i] + 1):
+            gamma = s[beta]
+            edge, back = tree[gamma], tree[beta]
+            if (edge is not None and edge[1] is s and edge[0] == beta) or (
+                back is not None
+                and back[1] is s
+                and back[0] == gamma
+                and is_involution(s)
+            ):
+                continue
             h, j = chain.sift(_mul(trans[i][beta], s), i)
             if h != ident:
+                scanned[i] = c
                 break
         else:  # level i is complete
             i -= 1
@@ -266,8 +291,10 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
         if j == len(base):
             base.append(_smallest_moved(h))
             sgd.append([])
+            scanned.append(0)
         for lvl in range(i + 1, j + 1):
             sgd[lvl].append(h)
+            scanned[lvl] = 0
         trans[i + 1 : j + 1] = [
             _Transversal(degree, sgd[lvl], base[lvl]) for lvl in range(i + 1, j + 1)
         ]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from locdt.autgrp import LimitError, automorphism_group
@@ -9,10 +11,9 @@ from locdt.checks import (
     check_local_sdt,
     condition_star,
     diameter_bounds_check,
-    enumerate_arcs,
     complete_graph_criteria,
 )
-from locdt.graphs import Graph, diameter, lift_group, subdivision
+from locdt.graphs import Graph, bfs_distances, diameter, lift_group, subdivision
 from locdt.geometry import (
     complete_bipartite,
     cycle,
@@ -35,6 +36,8 @@ from locdt.perms import (
     Permutation,
     alternating_group,
     dihedral_group,
+    on_tuples,
+    orbit_partition,
     symmetric_group,
 )
 
@@ -141,6 +144,107 @@ def test_ldt_builds_one_chain_per_orbit_representative(monkeypatch):
     assert [r.vertex for r in res.reps] == [0, 10]
     assert len(calls) == 2
     assert lifted._chain is None
+
+
+def enumerate_arcs(g, s, cap=10**7):
+    """All s-arcs (non-backtracking walks) in lexicographic order."""
+    if s < 1:
+        raise ValueError(f"arc length must be at least 1, got {s}")
+    adj = g.adjacency
+    arcs = []
+    stack = [(v,) for v in reversed(range(g.n))]
+    while stack:
+        walk = stack.pop()
+        if len(walk) == s + 1:
+            arcs.append(walk)
+            if len(arcs) > cap:
+                raise LimitError(f"more than {cap} arcs of length {s}")
+            continue
+        prev = walk[-2] if len(walk) >= 2 else -1
+        for w in reversed(adj[walk[-1]]):
+            if w != prev:
+                stack.append(walk + (w,))
+    return arcs
+
+
+def _arc_oracle(g, G, s):
+    """(arc_count, orbit_count, all_geodesic) from every arc, listed."""
+    arcs = enumerate_arcs(g, s)
+    orbits = orbit_partition(G.raw_generators, arcs, on_tuples)
+    dist = [bfs_distances(g, v) for v in range(g.n)]
+    return len(arcs), len(orbits), all(dist[a[0]][a[-1]] == s for a in arcs)
+
+
+def _random_arc_graphs(seed):
+    """A random graph on five vertices with pendant vertices, two disjoint
+    copies of it, and the two copies joined at one vertex pair; the copy
+    swap is an automorphism of the last two."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5) if rng.random() < 0.55]
+    edges += [(rng.randrange(5), 5), (rng.randrange(6), 6)]
+    twin = edges + [(u + 7, v + 7) for u, v in edges]
+    joint = rng.randrange(7)
+    return [Graph(7, edges), Graph(14, twin), Graph(14, twin + [(joint, joint + 7)])]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arc_orbits_match_listed_arcs(seed):
+    """Counts, orbits and the geodesic flag agree with a listing of every
+    arc, under Aut, its first generator and the trivial group."""
+    for g in _random_arc_graphs(seed):
+        A = automorphism_group(g)
+        for G in (A, PermGroup(g.n, A.generators[:1]), PermGroup.trivial(g.n)):
+            for s in range(1, 7):
+                res = check_arc_transitive(g, G, s)
+                want = _arc_oracle(g, G, s)
+                assert (res.arc_count, res.orbit_count, res.all_geodesic) == want
+
+
+def test_arc_orbit_closed_forms():
+    """Aut is regular on the s-arcs of these graphs for s past its
+    transitivity bound t (3, 4, 5), and each arc has two extensions, so
+    the orbit count doubles with each step past t."""
+    g, s5 = petersen_s5()
+    heawood = incidence_pg2(2).graph
+    tutte = incidence_w3(2).graph
+    for g, G, t in ((g, s5, 3), (heawood, automorphism_group(heawood), 4),
+                    (tutte, automorphism_group(tutte), 5)):
+        for s in range(t, t + 5):
+            assert check_arc_transitive(g, G, s).orbit_count == 2 ** (s - t)
+    for s in range(1, 13):
+        res = check_arc_transitive(cycle(8), dihedral_group(8), s)
+        assert (res.arc_count, res.orbit_count) == (16, 1)
+
+
+def test_arc_descent_is_not_recursive():
+    res = check_arc_transitive(cycle(8), dihedral_group(8), 3000)
+    assert (res.arc_count, res.orbit_count, res.all_geodesic) == (16, 1, False)
+
+
+def test_arc_descent_builds_no_chain_for_fixed_points(monkeypatch):
+    """A point fixed by the arc stabilizer passes it down unchanged, so the
+    trivial group builds no chain at all."""
+    from locdt import perms
+
+    calls = []
+    real = perms.build_chain
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perms, "build_chain", counted)
+    res = check_arc_transitive(petersen(), PermGroup.trivial(10), 4)
+    assert (res.arc_count, res.orbit_count) == (240, 240)
+    assert calls == []
+
+
+def test_arc_depth_checked_after_generators():
+    bad = PermGroup(10, [Permutation.from_cycles(10, [(0, 1)])])
+    with pytest.raises(GroupError):
+        check_arc_transitive(petersen(), bad, 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        check_arc_transitive(petersen(), petersen_s5()[1], 0)
 
 
 def test_arc_counts():

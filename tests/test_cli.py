@@ -184,6 +184,19 @@ def test_check_arc_cli(capsys):
     assert rep["arc_count"] == 120 and rep["transitive"]
 
 
+def test_check_arc_deep_cycle(capsys):
+    code, out, _ = run_cli(capsys, "check-arc", "cycle", "8", "--s", "3000")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["arc_count"], rep["orbit_count"]) == (16, 1)
+
+
+def test_check_arc_cap_exit3(capsys):
+    code, out, _ = run_cli(capsys, "check-arc", "petersen", "--s", "3", "--arc-cap", "119")
+    assert code == 3
+    assert out == ""
+
+
 def test_moore_values(capsys):
     for k, g, want in ((3, 5, 10), (7, 5, 50), (4, 12, 728)):
         code, out, _ = run_cli(capsys, "moore", str(k), str(g))
