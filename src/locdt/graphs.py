@@ -346,7 +346,7 @@ def isomorphism_failure(g, h, images):
     ``images`` is an isomorphism g -> h (an automorphism when h is g)."""
     adj = h.adjacency
     for u, nbrs in enumerate(g.adjacency):
-        if tuple(sorted(images[w] for w in nbrs)) != adj[images[u]]:
+        if tuple(sorted(map(images.__getitem__, nbrs))) != adj[images[u]]:
             return u
     return None
 

@@ -1,14 +1,20 @@
 """Permutations and finitely generated permutation groups.
 
-The engine is a deterministic (non-randomised) Schreier-Sims construction
-whose transversals are Schreier vectors: a coset representative is formed
-only when first read, and its inverse only when ``sift`` reads it, never
-stored.  Base points are chosen as the smallest point with nontrivial
-action; together with sorted orbit scans this makes chains, orders and
-element streams reproducible across runs.  A point stabilizer is the tail
-of the chain built from the group's generators with the point as its
-first base point, ended by the known order.  Orders are plain Python
-integers, so arbitrary precision comes for free.
+The engine is a deterministic Schreier-Sims construction whose
+transversals are Schreier vectors: a coset representative is formed only
+when first read, and its inverse only when ``sift`` first reads it; both
+are memoised.  Products are C-level ``operator.itemgetter`` calls.  Base
+points are chosen as the smallest point with nontrivial action; together
+with sorted orbit scans this makes chains, orders and element streams
+reproducible across runs.  A point stabilizer is the tail of the chain
+built from the group's generators with the point as its first base point,
+ended by the known order.  Such a build switches from the Schreier pair
+scan to sifting pseudo-random group elements once the scan has sifted
+more Schreier generators than there are generators; the elements come
+from a local RNG with a fixed seed, so chains stay byte-reproducible, the
+known order makes the result exact (Las Vegas), and a run of identity
+residues hands back to the pair scan.  Orders are plain Python integers,
+so arbitrary precision comes for free.
 
 Derived actions come from two primitives.  ``PermGroup.restrict`` gives the
 induced action on an invariant family of points or point sets (sorted
@@ -17,7 +23,10 @@ tuples: edges, pairs, the sides of K_{n,n}, vertex stars);
 and ``PermGroup.orbits`` returns them as ascending tuples.
 """
 
-from itertools import islice, product
+import random
+from functools import cache
+from itertools import count, islice, product
+from operator import itemgetter
 
 
 class GroupError(ValueError):
@@ -25,19 +34,27 @@ class GroupError(ValueError):
 
 
 def _mul(p, q):
-    # apply p first, then q
+    # apply p first, then q; itemgetter returns a scalar for one index and
+    # raises for none, so degrees below 2 take the map form
+    if len(p) > 1:
+        return itemgetter(*p)(q)
     return tuple(map(q.__getitem__, p))
 
 
 def _inv(p):
-    # a list: _mul indexes it as fast, and sift saves the tuple copy
-    out = [0] * len(p)
-    for i, j in enumerate(p):
+    # a list: _mul indexes it as fast, and the memo saves the tuple copy;
+    # its ints are the cached identity's, so it costs only its pointers
+    ident = _identity(len(p))
+    out = list(ident)
+    for i, j in zip(ident, p):
         out[j] = i
     return out
 
 
+@cache
 def _identity(deg):
+    # one shared tuple per degree: _inv and the root representatives take
+    # their ints from it instead of making new ones above 256
     return tuple(range(deg))
 
 
@@ -125,22 +142,46 @@ class _Transversal:
     """Orbit of ``root`` under ``gens`` as a Schreier vector: each point
     other than the root maps to its BFS parent and the generator that
     reaches it.  The coset representative u[p], mapping root -> p, is
-    formed when first read, as u[parent] * s, and memoised; iteration
-    follows BFS order."""
+    formed when first read, as u[parent] * s, and memoised, and so is its
+    inverse when ``inverse`` first reads it; iteration follows BFS order.
+    ``extend`` grows the orbit in place and keeps every parent, so the
+    memoised representatives stay valid."""
 
-    __slots__ = ("tree", "reps")
+    __slots__ = ("tree", "reps", "invs")
 
     def __init__(self, deg, gens, root):
-        tree = {root: None}
-        todo = [root]
+        self.tree = {root: None}
+        self.reps = {root: _identity(deg)}
+        self.invs = {}
+        self._close([root], gens)
+
+    def _close(self, todo, gens):
+        tree = self.tree
         for a in todo:  # grows while scanned
             for s in gens:
                 b = s[a]
                 if b not in tree:
                     tree[b] = (a, s)
                     todo.append(b)
-        self.tree = tree
-        self.reps = {root: _identity(deg)}
+
+    def extend(self, gens, s):
+        """Close the orbit under ``gens``, the old generators plus ``s``;
+        new points follow the old ones in BFS order."""
+        tree = self.tree
+        todo = []
+        for a in list(tree):
+            b = s[a]
+            if b not in tree:
+                tree[b] = (a, s)
+                todo.append(b)
+        self._close(todo, gens)
+
+    def inverse(self, p):
+        """u[p]^-1, memoised; None when p is outside the orbit."""
+        v = self.invs.get(p)
+        if v is None and p in self.tree:
+            v = self.invs[p] = _inv(self[p])
+        return v
 
     def __getitem__(self, p):
         reps = self.reps
@@ -157,12 +198,6 @@ class _Transversal:
             u = reps[b] = _mul(u, s)
         return u
 
-    def get(self, p):
-        u = self.reps.get(p)
-        if u is None and p in self.tree:
-            u = self[p]
-        return u
-
     def __len__(self):
         return len(self.tree)
 
@@ -175,8 +210,8 @@ class _Transversal:
 
 class _Chain:
     """Stabilizer chain: base points, per-level strong generators and
-    Schreier-vector transversals.  ``sift`` inverts the coset
-    representatives it reads; no inverse is stored."""
+    Schreier-vector transversals.  ``sift`` reads each coset
+    representative's inverse from its level's memo."""
 
     __slots__ = ("degree", "base", "sgd", "trans")
 
@@ -199,10 +234,10 @@ class _Chain:
             x = p[b]
             if x == b:  # the coset representative is the identity
                 continue
-            u = self.trans[lvl].get(x)
-            if u is None:
+            v = self.trans[lvl].inverse(x)
+            if v is None:
                 return p, lvl
-            p = _mul(p, _inv(u))
+            p = _mul(p, v)
         return p, len(self.base)
 
     def tail(self):
@@ -217,8 +252,36 @@ def _smallest_moved(p):
     return None
 
 
+# product replacement: RNG seed, state size, steps before the first element
+_SEED = 20111103
+_STATE = 10
+_WARMUP = 10
+# identity residues in a row that end seeding
+_MISSES = 10
+
+
+def _random_elements(gens, rng):
+    """Endless pseudo-random elements of the group generated by ``gens``
+    (at least one), by product replacement (Celler et al. 1995) with an
+    accumulator that multiplies in each replaced element.  Draws use
+    ``rng.random()`` only, whose stream a seed fixes on every Python."""
+    state = [gens[k % len(gens)] for k in range(max(_STATE, len(gens)))]
+    n = len(state)
+    acc = _identity(len(gens[0]))
+    for step in count(1):
+        a = int(rng.random() * n)
+        b = (a + 1 + int(rng.random() * (n - 1))) % n
+        if rng.random() < 0.5:
+            state[a] = _mul(state[a], state[b])
+        else:
+            state[a] = _mul(state[b], state[a])
+        acc = _mul(acc, state[a])
+        if step > _WARMUP:
+            yield acc
+
+
 def build_chain(degree, gens, base_prefix=(), known_order=None):
-    """Deterministic incremental Schreier-Sims.
+    """Incremental Schreier-Sims, deterministic for given arguments.
 
     ``base_prefix`` forces the first base points (used for stabilizers),
     each kept even when no generator moves it: its level then has orbit
@@ -232,18 +295,34 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     that the product hits on the way up stops the build early, unnoticed,
     with an incomplete chain.
 
-    Each level stores its orbit as a Schreier vector and no inverses; a
-    coset representative is formed when the Schreier loop, ``sift`` or
-    ``elements`` first reads it.  A stabilizer build that the known order
-    ends before level 0 forms only that level's root.  The Schreier
-    generator u_beta s u_{beta^s}^-1 is not formed on its own: ``sift`` of
-    u_beta s from level i reaches it at its first step.  A pair whose
-    u_beta s is itself a coset representative sifts to the identity and is
-    skipped unformed: a tree edge beta -> beta^s, or the reverse of one
-    when s is an involution.  Each level resumes its pair scan after the
-    pair that last gave a new strong generator, and starts over only when
-    its own generators change: the earlier pairs sifted to the identity
-    through a complete chain of a subgroup of the one below it now.
+    Each level stores its orbit as a Schreier vector; a coset
+    representative is formed when the Schreier loop, ``sift`` or
+    ``elements`` first reads it, and its inverse when ``sift`` first reads
+    it.  A stabilizer build that the known order ends before level 0 forms
+    only that level's root.  The Schreier generator u_beta s u_{beta^s}^-1
+    is not formed on its own: ``sift`` of u_beta s from level i reaches it
+    at its first step.  A pair whose u_beta s is itself a coset
+    representative sifts to the identity and is skipped unformed: a tree
+    edge beta -> beta^s, or the reverse of one when s is an involution.
+    Each level resumes its pair scan after the pair that last gave a new
+    strong generator, and starts over only when its own generators change:
+    the earlier pairs sifted to the identity through a complete chain of a
+    subgroup of the one below it now.
+
+    A build with a base prefix and a known order seeds once the pair scan
+    has sifted more Schreier generators than there are generators: the
+    deeper levels may be completing a proper subgroup of the stabilizer
+    (the pointwise stabilizer of an edge's ends, say, when only a level-0
+    Schreier generator reverses the edge).  Seeding sifts pseudo-random
+    elements of G from level 0, drawn from a local RNG with a fixed seed,
+    and adds each non-identity residue as a strong generator on the levels
+    it fixes below level 0, extending their Schreier vectors in place.  It
+    stops when the product reaches the known order, which proves the chain
+    complete (random Schreier-Sims is Las Vegas when the order is known;
+    Seress 2003, section 4.3), or after a run of identity residues; the
+    pair scan then resumes and completes the chain as before, so a wrong
+    order still raises GroupError when the chain never reaches it.  Builds
+    without a base prefix or known order never seed.
     """
     ident = _identity(degree)
     gens = [g for g in gens if g != ident]
@@ -260,15 +339,52 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
     chain = _Chain(degree, base, sgd, trans)
     scanned = [0] * len(base)  # per level, pairs known to sift to the identity
     involution = {}  # id(generator) -> s^2 == 1, for the generators of this build
+    sifts = 0
+    # the sift count at which the pair scan stops for seeding
+    seed_at = len(gens) + 1 if base_prefix and known_order is not None else None
 
     def is_involution(s):
+        # s^2 by _mul's kernel, inlined: s moves a point, so degree >= 2
         known = involution.get(id(s))
         if known is None:
-            known = involution[id(s)] = tuple(map(s.__getitem__, s)) == ident
+            known = involution[id(s)] = itemgetter(*s)(s) == ident
         return known
+
+    def new_level(h):
+        base.append(_smallest_moved(h))
+        sgd.append([])
+        scanned.append(0)
+
+    def seed():
+        """Sift random elements from level 0 until the known order or a run
+        of identity residues; returns the deepest level changed."""
+        deepest = misses = 0
+        for r in _random_elements(gens, random.Random(_SEED)):
+            h, j = chain.sift(r)
+            if h == ident:
+                misses += 1
+                if misses == _MISSES:
+                    break
+                continue
+            misses = 0
+            if j == len(base):
+                new_level(h)
+                trans.append(_Transversal(degree, (), base[j]))
+            for lvl in range(1, j + 1):  # level 0 holds every generator
+                sgd[lvl].append(h)
+                trans[lvl].extend(sgd[lvl], h)
+                scanned[lvl] = 0
+            deepest = max(deepest, j)
+            if chain.order() == known_order:
+                break
+        return deepest
 
     i = len(base) - 1
     while i >= 0 and (known_order is None or chain.order() != known_order):
+        if sifts == seed_at:
+            seed_at = None
+            i = max(i, seed())
+            continue
         tree = trans[i].tree
         pairs = islice(product(sorted(tree), sgd[i]), scanned[i], None)
         for c, (beta, s) in enumerate(pairs, scanned[i] + 1):
@@ -281,17 +397,18 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
                 and is_involution(s)
             ):
                 continue
+            sifts += 1
             h, j = chain.sift(_mul(trans[i][beta], s), i)
-            if h != ident:
+            if h != ident or sifts == seed_at:
                 scanned[i] = c
                 break
         else:  # level i is complete
             i -= 1
             continue
+        if h == ident:  # stopped to seed
+            continue
         if j == len(base):
-            base.append(_smallest_moved(h))
-            sgd.append([])
-            scanned.append(0)
+            new_level(h)
         for lvl in range(i + 1, j + 1):
             sgd[lvl].append(h)
             scanned[lvl] = 0
@@ -381,7 +498,11 @@ class PermGroup:
     def stabilizer(self, x):
         """Point stabilizer: the tail of the chain built from the group's
         generators with x as its first base point, ended by the known
-        order; a group whose order is known builds no chain of its own."""
+        order; a group whose order is known builds no chain of its own.
+        The build seeds with random elements once its pair scan runs long
+        (see ``build_chain``); the known order proves the tail complete.
+        An order that is too small can still stop the build early with a
+        subgroup, as without seeding."""
         if not 0 <= x < self.degree:
             raise GroupError(f"point {x} out of range")
         order = self._order if self._order is not None else self.order()

@@ -1,18 +1,21 @@
+import hashlib
 import random
-from itertools import combinations, permutations
+from itertools import combinations, cycle, permutations, repeat
 
 import pytest
 
 from locdt import perms
 from locdt.geometry import (
     chamber_model_w32,
+    complete_bipartite,
+    hoffman_singleton,
     incidence_hexagon,
     incidence_pg2,
     incidence_w3,
     mobius_subgroups,
 )
 from locdt.autgrp import automorphism_group
-from locdt.graphs import lift_group, subdivision
+from locdt.graphs import Graph, bfs_distances, lift_group, subdivision
 from locdt.perms import (
     GroupError,
     PermGroup,
@@ -116,12 +119,16 @@ def _assert_transversal_matches(deg, gens, root, rng):
     assert len(t) == len(oracle)
     assert list(t) == list(oracle)
     outside = [p for p in range(deg) if p not in oracle]
-    assert all(p not in t and t.get(p) is None for p in outside)
+    assert all(p not in t and t.inverse(p) is None for p in outside)
     # memoised ancestors are met in any read order
     points = list(oracle)
     rng.shuffle(points)
-    assert all(t[p] == t.get(p) == oracle[p] for p in points)
+    assert all(t[p] == oracle[p] for p in points)
     assert [(p, t[p]) for p in t] == list(oracle.items())
+    # the inverse is memoised on first read, and only for orbit points
+    rng.shuffle(points)
+    assert all(t.inverse(p) == perms._inv(oracle[p]) for p in points)
+    assert t.invs == {p: perms._inv(oracle[p]) for p in oracle}
 
 
 def test_schreier_vector_transversal_matches_explicit_bfs():
@@ -144,6 +151,202 @@ def test_schreier_vector_of_a_long_cycle_is_read_without_recursion():
     assert t[deg - 1] == tuple(range(deg - 1, deg)) + tuple(range(deg - 1))
     _assert_transversal_matches(deg, [cycle], 0, random.Random(1))
     assert cyclic_group(deg).order() == deg
+
+
+def test_extended_schreier_vector_keeps_its_memoised_representatives():
+    rng = random.Random(5)
+    for _ in range(100):
+        deg = rng.randint(2, 20)
+        gens = [tuple(rng.sample(range(deg), deg)) for _ in range(3)]
+        root = rng.randrange(deg)
+        t = _Transversal(deg, gens[:1], root)
+        old = {p: t[p] for p in t}
+        inverses = {p: t.inverse(p) for p in t}
+        for k in (2, 3):
+            t.extend(gens[:k], gens[k - 1])
+            assert set(t) == orbit_closure(gens[:k], [root])
+        assert list(t)[: len(old)] == list(old)
+        assert all(t.reps[p] is u and t.invs[p] is inverses[p] for p, u in old.items())
+        for p in t:
+            u = t[p]
+            assert u[root] == p and perms._mul(u, t.inverse(p)) == tuple(range(deg))
+
+
+def test_products_and_inverses_on_degrees_below_three():
+    # itemgetter gives a scalar for one index and raises for none, so these
+    # degrees take the other branch of the product kernel
+    for deg in (0, 1, 2):
+        elements = [Permutation(images) for images in permutations(range(deg))]
+        for p in elements:
+            assert p.inverse() * p == p * p.inverse() == Permutation.identity(deg)
+            assert type(p.inverse().images) is tuple
+            for q in elements:
+                pq = p * q
+                assert type(pq.images) is tuple
+                assert pq.images == tuple(q.images[i] for i in p.images)
+    assert perms._mul((), ()) == () and perms._mul((0,), (0,)) == (0,)
+    assert perms._mul((1, 0), (1, 0)) == (0, 1)
+
+
+def test_trivial_group_of_degree_one():
+    G = PermGroup.trivial(1)
+    assert G.order() == 1
+    assert [p.images for p in G.elements()] == [(0,)]
+    assert G.stabilizer(0).order() == 1 and G.orbits() == ((0,),)
+
+
+def _relabeled(g, seed):
+    """g with its vertices renamed by a permutation drawn from ``random()``
+    only, whose stream a seed fixes on every Python version."""
+    rng = random.Random(seed)
+    perm = sorted(range(g.n), key=lambda _: rng.random())
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _lifted_aut(g):
+    _, smap = subdivision(g)
+    return lift_group(automorphism_group(g), smap)
+
+
+# The stabilizer of an edge vertex of S(HoSi), relabeled by seed 1.  Its
+# first strong generators fix both ends of the edge: built by the pair scan
+# alone, the chain completed that index-2 subgroup first, in 471 sifts and
+# 1 469 products, before a level-0 Schreier generator reversed the edge.
+HOSI_EDGE_STABILIZER_PRODUCTS = 90
+HOSI_EDGE_STABILIZER_SHA256 = (
+    "026aed94dac5ee0f2d072206f25ca25c1ce473f2fd91106d666904c38ebef4a5"
+)
+
+
+def _hosi_edge_stabilizer():
+    lifted = _lifted_aut(_relabeled(hoffman_singleton(), 1))
+    assert lifted.orbits()[1][0] == 50
+    return lifted, 50
+
+
+def test_seeded_edge_stabilizer_product_count_is_pinned(monkeypatch):
+    lifted, x = _hosi_edge_stabilizer()
+    products = []
+    real = perms._mul
+
+    def counted(p, q):
+        products.append(None)
+        return real(p, q)
+
+    monkeypatch.setattr(perms, "_mul", counted)
+    stab = lifted.stabilizer(x)
+    assert len(products) == HOSI_EDGE_STABILIZER_PRODUCTS
+    assert stab.order() == 252000 // 175
+
+
+def test_seeded_stabilizer_chain_is_pinned_and_ignores_the_global_rng(monkeypatch):
+    lifted, x = _hosi_edge_stabilizer()
+
+    def digest():
+        chain = lifted.stabilizer(x).chain()
+        return hashlib.sha256(repr((chain.base, chain.sgd)).encode()).hexdigest()
+
+    state = random.getstate()
+    first = digest()
+    assert random.getstate() == state
+    for seed in (0, 20111103):
+        random.seed(seed)
+        assert digest() == first
+    random.setstate(state)
+    assert first == HOSI_EDGE_STABILIZER_SHA256
+    # the pin does see the local stream: another seed gives another chain
+    monkeypatch.setattr(perms, "_SEED", 1)
+    assert digest() != first
+
+
+def test_seeded_build_falls_back_to_the_pair_scan_on_an_unreachable_order(
+    monkeypatch,
+):
+    """Random elements never reach twice the true order; after a run of
+    identity residues the pair scan completes the chain and the build
+    raises with the true order."""
+    lifted, x = _hosi_edge_stabilizer()
+    draws = []
+    real = perms._random_elements
+
+    def counted(gens, rng):
+        for r in real(gens, rng):
+            draws.append(None)
+            yield r
+
+    monkeypatch.setattr(perms, "_random_elements", counted)
+    with pytest.raises(GroupError, match="chain has order 252000,"):
+        build_chain(
+            lifted.degree, lifted.raw_generators, base_prefix=(x,),
+            known_order=2 * 252000,
+        )
+    assert len(draws) >= perms._MISSES
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [lambda gens, rng: cycle(gens), lambda gens, rng: repeat(tuple(range(len(gens[0]))))],
+    ids=["generators", "identity"],
+)
+def test_pair_scan_completes_a_chain_that_seeding_left_short(stream, monkeypatch):
+    """Seeding with the generators themselves, in turn, adds a few strong
+    generators and then only identity residues, and seeding with the
+    identity adds none; either way the pair scan resumes, on the level it
+    stopped at or the deepest one seeding changed, and reaches the known
+    order."""
+    monkeypatch.setattr(perms, "_random_elements", stream)
+    for g in (hoffman_singleton(), incidence_pg2(4).graph):
+        lifted = _lifted_aut(_relabeled(g, 1))
+        for orbit in lifted.orbits():
+            stab = lifted.stabilizer(orbit[0])
+            assert stab.order() * len(orbit) == lifted.order()
+            assert all(p[orbit[0]] == orbit[0] for p in stab.raw_generators)
+
+
+@pytest.mark.parametrize(
+    "make,seeded",
+    [
+        (hoffman_singleton, 2),
+        (lambda: incidence_pg2(4).graph, 2),
+        (lambda: complete_bipartite(4, 4), 0),
+    ],
+    ids=["hosi", "pg24", "k44"],
+)
+def test_stabilizers_of_lifted_groups_agree_with_sympy(make, seeded, monkeypatch):
+    """Every orbit representative x of the lifted group: |G_x| |x^G| = |G|,
+    every strong generator of G_x fixes x and lies in G, and G_x has the
+    orbit sizes of sympy's stabilizer on every sphere around x.  On this
+    relabeling both HoSi and PG(2,4) builds seed; K_{4,4}'s never do."""
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation as SPerm, PermutationGroup
+
+    g = _relabeled(make(), 4)
+    sub, _ = subdivision(g)
+    lifted = _lifted_aut(g)
+    ident = tuple(range(lifted.degree))
+    oracle = PermutationGroup([SPerm(list(p)) for p in lifted.raw_generators])
+    seeds = []
+    real = perms._random_elements
+
+    def counted(gens, rng):
+        seeds.append(None)
+        return real(gens, rng)
+
+    monkeypatch.setattr(perms, "_random_elements", counted)
+    for orbit in lifted.orbits():
+        x = orbit[0]
+        stab = lifted.stabilizer(x)
+        assert stab.order() * len(orbit) == lifted.order()
+        for level in stab.chain().sgd:
+            for p in level:
+                assert p[x] == x and lifted.chain().sift(p)[0] == ident
+        dist = bfs_distances(sub, x)
+        theirs = oracle.stabilizer(x).orbits()
+        for depth in range(1, max(dist) + 1):
+            sphere = {v for v in range(sub.n) if dist[v] == depth}
+            want = sorted(len(o) for o in theirs if o <= sphere)
+            assert orbit_sizes_within(stab, sorted(sphere)) == want, (x, depth)
+    assert len(seeds) == seeded
 
 
 def test_stabilizer_chain_forms_only_the_representatives_it_reads(monkeypatch):
