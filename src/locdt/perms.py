@@ -1,20 +1,15 @@
 """Permutations and finitely generated permutation groups.
 
-The engine is a deterministic Schreier-Sims construction whose
-transversals are Schreier vectors: a coset representative is formed only
-when first read, and its inverse only when ``sift`` first reads it; both
-are memoised.  Products are C-level ``operator.itemgetter`` calls.  Base
-points are chosen as the smallest point with nontrivial action; together
-with sorted orbit scans this makes chains, orders and element streams
-reproducible across runs.  A point stabilizer is the tail of the chain
-built from the group's generators with the point as its first base point,
-ended by the known order.  Such a build switches from the Schreier pair
-scan to sifting pseudo-random group elements once the scan has sifted
-more Schreier generators than there are generators; the elements come
-from a local RNG with a fixed seed, so chains stay byte-reproducible, the
-known order makes the result exact (Las Vegas), and a run of identity
-residues hands back to the pair scan.  Orders are plain Python integers,
-so arbitrary precision comes for free.
+The engine is a deterministic Schreier-Sims construction (``build_chain``)
+whose transversals are Schreier vectors: coset representatives and their
+inverses are formed when first read and memoised.  Products are C-level
+``operator.itemgetter`` calls.  Every chain grows through one
+add-and-complete routine (``_Chain``); blind builds and ``derived_subgroup``
+absorb elements one at a time and drop those that sift to the identity.
+Base points are the smallest point with nontrivial action; together with
+sorted orbit scans and the fixed-seed stream that stabilizer builds sift,
+this makes chains, orders and element streams reproducible across runs.
+Orders are plain Python integers, so arbitrary precision comes for free.
 
 Derived actions come from two primitives.  ``PermGroup.restrict`` gives the
 induced action on an invariant family of points or point sets (sorted
@@ -26,6 +21,7 @@ and ``PermGroup.orbits`` returns them as ascending tuples.
 import random
 from functools import cache
 from itertools import count, islice, product
+from math import prod
 from operator import itemgetter
 
 
@@ -211,21 +207,20 @@ class _Transversal:
 class _Chain:
     """Stabilizer chain: base points, per-level strong generators and
     Schreier-vector transversals.  ``sift`` reads each coset
-    representative's inverse from its level's memo."""
+    representative's inverse from its level's memo.  ``scanned`` counts,
+    per level, the pairs of the pair scan known to sift to the identity."""
 
-    __slots__ = ("degree", "base", "sgd", "trans")
+    __slots__ = ("degree", "base", "sgd", "trans", "scanned")
 
     def __init__(self, degree, base, sgd, trans):
         self.degree = degree
         self.base = base
         self.sgd = sgd
         self.trans = trans
+        self.scanned = [0] * len(base)
 
     def order(self):
-        n = 1
-        for t in self.trans:
-            n *= len(t)
-        return n
+        return prod(map(len, self.trans))
 
     def sift(self, p, start=0):
         """Strip p through levels >= start; returns (residue, drop_level)."""
@@ -244,12 +239,113 @@ class _Chain:
         """Chain for the stabilizer of the first base point."""
         return _Chain(self.degree, self.base[1:], self.sgd[1:], self.trans[1:])
 
+    def add(self, h, lo, hi):
+        """Make h, which fixes base[:lo], a strong generator of levels lo..hi
+        and extend their Schreier vectors in place; their pair scans start
+        over.  ``hi == len(base)`` opens a level at h's smallest moved point."""
+        if hi == len(self.base):
+            self.base.append(_smallest_moved(h))
+            self.sgd.append([])
+            self.trans.append(_Transversal(self.degree, (), self.base[hi]))
+            self.scanned.append(0)
+        for lvl in range(lo, hi + 1):
+            self.sgd[lvl].append(h)
+            self.trans[lvl].extend(self.sgd[lvl], h)
+            self.scanned[lvl] = 0
+
+    def absorb(self, g):
+        """Sift g; add a non-identity residue on the levels it reaches and
+        complete the chain again.  Returns whether g was new to the group."""
+        h, j = self.sift(g)
+        if h == _identity(self.degree):
+            return False
+        self.add(h, 0, j)
+        self.complete(j)
+        return True
+
+    def complete(self, i, known_order=None, seeding=False):
+        """Run the Schreier pair scan from level i down to 0, the levels
+        below i being complete; stop once the order reaches ``known_order``.
+        The Schreier generator u_beta s u_{beta^s}^-1 is not formed: ``sift``
+        of u_beta s from level i reaches it at its first step.  A pair whose
+        u_beta s is a coset representative (a tree edge beta -> beta^s, or
+        the reverse of one when s is an involution) would sift to the
+        identity and is skipped unformed.  Each level resumes its scan after
+        the pair that last gave a strong generator and starts over when
+        ``add`` changes its generators: the earlier pairs sifted to the
+        identity through a complete chain of a subgroup of the one below it.
+
+        With ``seeding``, the scan stops once it has sifted more Schreier
+        generators than level 0 has generators, since the deeper levels may
+        be completing a proper subgroup of the stabilizer (the pointwise
+        stabilizer of an edge's ends, say, when only a level-0 Schreier
+        generator reverses the edge).  It then sifts pseudo-random elements
+        from level 0 and adds each non-identity residue below level 0, until
+        the order reaches the known order, which proves the chain complete
+        (Las Vegas; Seress 2003, section 4.3), or a run of identity residues
+        hands back to the pair scan."""
+        ident = _identity(self.degree)
+        sgd, trans, scanned = self.sgd, self.trans, self.scanned
+        involution = {}  # id(generator) -> s^2 == 1
+        sifts = 0
+        # the sift count at which the pair scan stops for seeding
+        seed_at = len(sgd[0]) + 1 if seeding else None
+
+        def is_involution(s):
+            # s^2 by _mul's kernel, inlined: s moves a point, so degree >= 2
+            known = involution.get(id(s))
+            if known is None:
+                known = involution[id(s)] = itemgetter(*s)(s) == ident
+            return known
+
+        def seed():  # returns the deepest level changed
+            deepest = misses = 0
+            for r in _random_elements(sgd[0], random.Random(_SEED)):
+                h, j = self.sift(r)
+                if h == ident:
+                    misses += 1
+                    if misses == _MISSES:
+                        break
+                    continue
+                misses = 0
+                self.add(h, 1, j)  # level 0 holds every generator
+                deepest = max(deepest, j)
+                if self.order() == known_order:
+                    break
+            return deepest
+
+        while i >= 0 and (known_order is None or self.order() != known_order):
+            if sifts == seed_at:
+                seed_at = None
+                i = max(i, seed())
+                continue
+            tree = trans[i].tree
+            pairs = islice(product(sorted(tree), sgd[i]), scanned[i], None)
+            for c, (beta, s) in enumerate(pairs, scanned[i] + 1):
+                gamma = s[beta]
+                edge, back = tree[gamma], tree[beta]
+                if (edge is not None and edge[1] is s and edge[0] == beta) or (
+                    back is not None
+                    and back[1] is s
+                    and back[0] == gamma
+                    and is_involution(s)
+                ):
+                    continue
+                sifts += 1
+                h, j = self.sift(_mul(trans[i][beta], s), i)
+                if h != ident or sifts == seed_at:
+                    scanned[i] = c
+                    break
+            else:  # level i is complete
+                i -= 1
+                continue
+            if h != ident:  # else stopped to seed
+                self.add(h, i + 1, j)
+                i = j
+
 
 def _smallest_moved(p):
-    for i, j in enumerate(p):
-        if i != j:
-            return i
-    return None
+    return next(i for i, j in enumerate(p) if i != j)
 
 
 # product replacement: RNG seed, state size, steps before the first element
@@ -281,142 +377,46 @@ def _random_elements(gens, rng):
 
 
 def build_chain(degree, gens, base_prefix=(), known_order=None):
-    """Incremental Schreier-Sims, deterministic for given arguments.
+    """Schreier-Sims, deterministic for given arguments.
 
     ``base_prefix`` forces the first base points (used for stabilizers),
     each kept even when no generator moves it: its level then has orbit
     {b} and multiplies the order by 1.  Further base points are the
-    smallest point moved by the generator that needs them.
-    ``known_order`` allows an early exit once the transversal product
-    reaches the target, which makes stabilizer builds cheap; it must be
-    the exact order.  The product reaches the true order only on a
-    complete chain, so the exit leaves the chain unchanged.  A wrong order
-    raises GroupError only when the chain never reaches it: a smaller order
-    that the product hits on the way up stops the build early, unnoticed,
-    with an incomplete chain.
+    smallest point moved by the element that needs them.
 
-    Each level stores its orbit as a Schreier vector; a coset
-    representative is formed when the Schreier loop, ``sift`` or
-    ``elements`` first reads it, and its inverse when ``sift`` first reads
-    it.  A stabilizer build that the known order ends before level 0 forms
-    only that level's root.  The Schreier generator u_beta s u_{beta^s}^-1
-    is not formed on its own: ``sift`` of u_beta s from level i reaches it
-    at its first step.  A pair whose u_beta s is itself a coset
-    representative sifts to the identity and is skipped unformed: a tree
-    edge beta -> beta^s, or the reverse of one when s is an involution.
-    Each level resumes its pair scan after the pair that last gave a new
-    strong generator, and starts over only when its own generators change:
-    the earlier pairs sifted to the identity through a complete chain of a
-    subgroup of the one below it now.
-
-    A build with a base prefix and a known order seeds once the pair scan
-    has sifted more Schreier generators than there are generators: the
-    deeper levels may be completing a proper subgroup of the stabilizer
-    (the pointwise stabilizer of an edge's ends, say, when only a level-0
-    Schreier generator reverses the edge).  Seeding sifts pseudo-random
-    elements of G from level 0, drawn from a local RNG with a fixed seed,
-    and adds each non-identity residue as a strong generator on the levels
-    it fixes below level 0, extending their Schreier vectors in place.  It
-    stops when the product reaches the known order, which proves the chain
-    complete (random Schreier-Sims is Las Vegas when the order is known;
-    Seress 2003, section 4.3), or after a run of identity residues; the
-    pair scan then resumes and completes the chain as before, so a wrong
-    order still raises GroupError when the chain never reaches it.  Builds
-    without a base prefix or known order never seed.
+    A blind build (no known order) starts from the prefix levels alone and
+    absorbs the generators in turn, dropping each that sifts to the
+    identity through the chain of those before it.  A build with
+    ``known_order`` sets up every generator at once, on each level whose
+    base points it fixes, with breadth-first transversals, and completes
+    that chain; it exits once the transversal product reaches the order,
+    so a stabilizer build that ends before level 0 forms only that level's
+    root.  The order must be exact.  The product reaches the true order
+    only on a complete chain, so the exit leaves the chain unchanged.  A
+    wrong order raises GroupError only when the chain never reaches it: a
+    smaller order that the product hits on the way up stops the build
+    early, unnoticed, with an incomplete chain.  Only builds with both a
+    base prefix and a known order seed (see ``_Chain.complete``).
     """
     ident = _identity(degree)
     gens = [g for g in gens if g != ident]
+    known = gens if known_order is not None else ()
     base = list(base_prefix)
-    for g in gens:
+    for g in known:
         if all(g[b] == b for b in base):
             base.append(_smallest_moved(g))
-
     sgd = [
-        [g for g in gens if all(g[b] == b for b in base[:i])]
+        [g for g in known if all(g[b] == b for b in base[:i])]
         for i in range(len(base))
     ]
     trans = [_Transversal(degree, sgd[i], base[i]) for i in range(len(base))]
     chain = _Chain(degree, base, sgd, trans)
-    scanned = [0] * len(base)  # per level, pairs known to sift to the identity
-    involution = {}  # id(generator) -> s^2 == 1, for the generators of this build
-    sifts = 0
-    # the sift count at which the pair scan stops for seeding
-    seed_at = len(gens) + 1 if base_prefix and known_order is not None else None
-
-    def is_involution(s):
-        # s^2 by _mul's kernel, inlined: s moves a point, so degree >= 2
-        known = involution.get(id(s))
-        if known is None:
-            known = involution[id(s)] = itemgetter(*s)(s) == ident
-        return known
-
-    def new_level(h):
-        base.append(_smallest_moved(h))
-        sgd.append([])
-        scanned.append(0)
-
-    def seed():
-        """Sift random elements from level 0 until the known order or a run
-        of identity residues; returns the deepest level changed."""
-        deepest = misses = 0
-        for r in _random_elements(gens, random.Random(_SEED)):
-            h, j = chain.sift(r)
-            if h == ident:
-                misses += 1
-                if misses == _MISSES:
-                    break
-                continue
-            misses = 0
-            if j == len(base):
-                new_level(h)
-                trans.append(_Transversal(degree, (), base[j]))
-            for lvl in range(1, j + 1):  # level 0 holds every generator
-                sgd[lvl].append(h)
-                trans[lvl].extend(sgd[lvl], h)
-                scanned[lvl] = 0
-            deepest = max(deepest, j)
-            if chain.order() == known_order:
-                break
-        return deepest
-
-    i = len(base) - 1
-    while i >= 0 and (known_order is None or chain.order() != known_order):
-        if sifts == seed_at:
-            seed_at = None
-            i = max(i, seed())
-            continue
-        tree = trans[i].tree
-        pairs = islice(product(sorted(tree), sgd[i]), scanned[i], None)
-        for c, (beta, s) in enumerate(pairs, scanned[i] + 1):
-            gamma = s[beta]
-            edge, back = tree[gamma], tree[beta]
-            if (edge is not None and edge[1] is s and edge[0] == beta) or (
-                back is not None
-                and back[1] is s
-                and back[0] == gamma
-                and is_involution(s)
-            ):
-                continue
-            sifts += 1
-            h, j = chain.sift(_mul(trans[i][beta], s), i)
-            if h != ident or sifts == seed_at:
-                scanned[i] = c
-                break
-        else:  # level i is complete
-            i -= 1
-            continue
-        if h == ident:  # stopped to seed
-            continue
-        if j == len(base):
-            new_level(h)
-        for lvl in range(i + 1, j + 1):
-            sgd[lvl].append(h)
-            scanned[lvl] = 0
-        trans[i + 1 : j + 1] = [
-            _Transversal(degree, sgd[lvl], base[lvl]) for lvl in range(i + 1, j + 1)
-        ]
-        i = j
-    if known_order is not None and chain.order() != known_order:
+    if known_order is None:
+        for g in gens:
+            chain.absorb(g)
+        return chain
+    chain.complete(len(base) - 1, known_order, bool(base_prefix))
+    if chain.order() != known_order:
         raise GroupError(
             f"chain has order {chain.order()}, known order is {known_order}"
         )
@@ -500,7 +500,7 @@ class PermGroup:
         generators with x as its first base point, ended by the known
         order; a group whose order is known builds no chain of its own.
         The build seeds with random elements once its pair scan runs long
-        (see ``build_chain``); the known order proves the tail complete.
+        (see ``_Chain.complete``); the known order proves the tail complete.
         An order that is too small can still stop the build early with a
         subgroup, as without seeding."""
         if not 0 <= x < self.degree:
@@ -513,16 +513,16 @@ class PermGroup:
         return PermGroup._with_chain(self.degree, gens, tail)
 
     def derived_subgroup(self):
-        """Normal closure of the generator commutators, with chain."""
+        """Normal closure of the generator commutators, with chain: each
+        commutator or conjugate that the chain does not hold yet is
+        absorbed into it, and only those become generators."""
         gens = self.raw_generators
-        ident = _identity(self.degree)
         sub = []
         chain = _Chain(self.degree, [], [], [])
         todo = [_mul(_mul(_inv(a), _inv(b)), _mul(a, b)) for a in gens for b in gens]
         for p in todo:  # grows while scanned
-            if chain.sift(p)[0] != ident:
+            if chain.absorb(p):
                 sub.append(p)
-                chain = build_chain(self.degree, sub)
                 todo.extend(_mul(_mul(_inv(g), p), g) for g in gens)
         return PermGroup._with_chain(
             self.degree, [Permutation._wrap(p) for p in sub], chain

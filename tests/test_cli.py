@@ -225,13 +225,17 @@ def test_construct_output_matches_stdout(tmp_path, capsys):
 
 
 def test_check_ldt_with_generator_file(tmp_path, capsys):
+    """A group read from a file has no known order, so its chain is built
+    blind; the report is byte-equal to the one from the search's group."""
     gens = tmp_path / "gens.txt"
-    code, out, _ = run_cli(capsys, "aut", "petersen", "-o", str(gens))
-    assert code == 0
-    code, out, _ = run_cli(capsys, "check-ldt", "petersen", "--gens", str(gens),
-                           "--s", "6", "--subdivide")
-    assert code == 0
-    assert json.loads(out)["verdict"] is True
+    for graph, s in ((["petersen"], "6"), (["w3", "--q", "2"], "8")):
+        code, out, _ = run_cli(capsys, "aut", *graph, "-o", str(gens))
+        assert code == 0
+        query = ["check-ldt", *graph, "--s", s, "--subdivide"]
+        code, out, _ = run_cli(capsys, *query, "--gens", str(gens))
+        assert code == 0
+        assert json.loads(out)["verdict"] is True
+        assert run_cli(capsys, *query) == (0, out, "")
 
 
 def test_check_ldt_trivial_group_fails(tmp_path, capsys):

@@ -353,9 +353,10 @@ def test_stabilizer_chain_forms_only_the_representatives_it_reads(monkeypatch):
     """The stabilizer chain of a point of S(H(2)), as ``stabilizer`` builds
     it: the known order ends the build before any sift from level 0, so
     that level forms only its root, and pairs whose u_beta s is a coset
-    representative are skipped unformed.  The product counts are pinned;
-    with every representative formed up front the same builds take 179 and
-    244, and with every pair formed 98 and 49."""
+    representative are skipped unformed.  The product counts and the
+    representatives formed per level are pinned; with every representative
+    formed up front the same builds take 113 and 213 products, and with
+    every pair formed 73 and 34."""
     g = incidence_hexagon(2).graph
     G = automorphism_group(g)
     _, smap = subdivision(g)
@@ -368,15 +369,39 @@ def test_stabilizer_chain_forms_only_the_representatives_it_reads(monkeypatch):
         return real(p, q)
 
     monkeypatch.setattr(perms, "_mul", counted)
-    for x, pinned in ((0, 34), (g.n, 17)):
+    for x, pinned, reps in ((0, 33, [1, 10, 4]), (g.n, 17, [1, 10, 2])):
         products.clear()
         chain = build_chain(
             lifted.degree, lifted.raw_generators, base_prefix=(x,),
             known_order=G.order(),
         )
         assert len(products) == pinned, x
-        assert [len(t.reps) for t in chain.trans] == [1, 10, 1], x
+        assert [len(t.reps) for t in chain.trans] == reps, x
         assert chain.order() == G.order() == 12096
+
+
+# Level-0 strong generators of the blind chains of Aut(W(3,2)), Aut(W(3,4))
+# and Aut(H(2)) built from the search's 11, 21 and 12 generators: a blind
+# build absorbs them in turn and drops each that sifts to the identity.
+BLIND_LEVEL0_GENERATORS = 5
+
+
+@pytest.mark.parametrize(
+    "make,ngens,order",
+    [
+        (lambda: incidence_w3(2).graph, 11, 1440),
+        (lambda: incidence_w3(4).graph, 21, 3916800),
+        (lambda: incidence_hexagon(2).graph, 12, 12096),
+    ],
+    ids=["w32", "w34", "h2"],
+)
+def test_blind_chain_level0_generators_are_pinned(make, ngens, order):
+    g = make()
+    gens = automorphism_group(g).raw_generators
+    assert len(gens) == ngens
+    chain = build_chain(g.n, gens)
+    assert chain.order() == order
+    assert len(chain.sgd[0]) == BLIND_LEVEL0_GENERATORS
 
 
 def test_schreier_sims_identity_and_s5():
@@ -460,6 +485,23 @@ def test_derived_subgroups():
     assert abelian.derived_subgroup().order() == 1
     cm = chamber_model_w32()
     assert cm.pgammal.derived_subgroup().order() == 360
+
+
+def test_derived_subgroup_grows_one_chain(monkeypatch):
+    """Each new commutator or conjugate is absorbed into the one chain of
+    the subgroup; no chain is built from scratch."""
+    groups = [
+        (symmetric_group(5), 60),
+        (automorphism_group(incidence_w3(2).graph), 360),
+        (chamber_model_w32().pgammal, 360),  # PGammaL(2,9) on pairs
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_chain called")
+
+    monkeypatch.setattr(perms, "build_chain", refuse)
+    for G, order in groups:
+        assert G.derived_subgroup().order() == order
 
 
 def test_derived_subgroup_is_normal():
@@ -793,11 +835,14 @@ def test_orbit_primitives_agree_with_sympy():
         assert G.stabilizer(x).order() == S.stabilizer(x).order()
         assert G.derived_subgroup().order() == S.derived_subgroup().order()
 
-        # a chain built with the true order is the blind chain
+        # a chain built with the true order and the blind chain, which
+        # drops generators, have one order and sift each other's strong
+        # generators to the identity
         known = PermGroup(n, G.generators, order=S.order()).chain()
         blind = build_chain(n, G.raw_generators)
-        assert (known.base, known.sgd) == (blind.base, blind.sgd)
-        assert [[(p, t[p]) for p in t] for t in known.trans] == [
-            [(p, t[p]) for p in t] for t in blind.trans]
+        assert known.order() == blind.order()
+        for one, other in ((known, blind), (blind, known)):
+            for p in (p for level in one.sgd for p in level):
+                assert other.sift(p)[0] == tuple(range(n))
 
     check()
