@@ -3,19 +3,22 @@ individualization.
 
 The search fixes one anchor path (always branching on the first vertex of
 the first smallest non-singleton cell), then looks for automorphisms mapping
-the anchor prefix onto sibling branches.  Pruning uses refinement traces
-plus the orbits of the automorphisms found so far, so sibling
-branches inside an orbit are never explored twice.  Failures prune by orbit
-as well: a sibling with no leaf equivalent to the anchor leaf has none
-anywhere in its orbit under the automorphisms that fix the prefix, so that
-whole orbit is skipped (McKay & Piperno, "Practical graph isomorphism, II",
-2014).  The skipped searches would all fail, so the generators found are
-the same as without this pruning.  A sibling's refinement stops at its
-first trace entry that differs from the anchor path's (McKay & Piperno
-2014), so the search tree is unchanged and only rejected nodes do less
-work.  No canonical form is exposed: isomorphism testing searches g2's
-tree for a leaf with the traces of g1's anchor path, by the same leaf
-search and the same orbit pruning.
+the anchor prefix onto sibling branches, deepest level first, as nauty does
+(McKay & Piperno, "Practical graph isomorphism, II", 2014).  Every
+automorphism found so far then fixes the prefix of the level being
+searched, so each new one at least doubles the group, and the generators
+form a strong generating set for the base of anchor vertices.  Pruning uses
+refinement traces plus the orbits of the automorphisms found so far, so
+sibling branches inside an orbit are never explored twice.  Failures prune
+by orbit as well: a sibling with no leaf equivalent to the anchor leaf has
+none anywhere in its orbit under the automorphisms that fix the prefix, so
+that whole orbit is skipped (McKay & Piperno 2014).  The skipped searches
+would all fail, so the generators found are the same as without this
+pruning.  A sibling's refinement stops at its first trace entry that
+differs from the anchor path's (McKay & Piperno 2014), so the search tree
+is unchanged and only rejected nodes do less work.  No canonical form is
+exposed: isomorphism testing searches g2's tree for a leaf with the traces
+of g1's anchor path, by the same leaf search and the same orbit pruning.
 
 A partition is flat, as in that paper: (order, start, size) lists the
 vertices cell by cell, ``start[v]`` is the offset of v's cell in ``order``
@@ -28,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
-from .perms import Permutation, PermGroup, orbit_closure
+from .perms import Permutation, PermGroup, build_chain, orbit_closure
 from .graphs import GraphError, components, isomorphism_failure
 
 DEFAULT_VERTEX_LIMIT = 4096
@@ -204,40 +207,57 @@ def find_mapped_leaf(adj, part, v, traces, depth, accept):
 
 
 def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
-    """Generators of the colour-preserving automorphism group, which carries
-    its order: the product of the orbit sizes along the anchor path."""
+    """The colour-preserving automorphism group, with its order: the
+    product of the orbit sizes along the anchor path.
+
+    The search takes the anchor path's levels deepest first, so the
+    generators that fix each anchor prefix generate that prefix's
+    stabilizer: a strong generating set for the base of anchor vertices
+    (McKay & Piperno 2014; Seress 2003, section 4.1), of at most
+    log2 |Aut| elements.  The group comes with its chain on that base,
+    whose orbits multiply to the order with no sift.  Its generators run
+    shallowest level first: a chain built blind from them, as from a
+    generator file written by ``aut -o``, absorbs them far more cheaply in
+    that order than in the order found."""
     if g.n > limit:
         raise LimitError(f"graph has {g.n} vertices, limit is {limit}")
     part, _ = _root(g, coloring or unit_coloring(g))
-    gens, order = _search_levels(g, *_anchor_path(g.adjacency, part))
-    return PermGroup(g.n, [Permutation(p) for p in gens], order=order)
+    path, traces, leaf = _anchor_path(g.adjacency, part)
+    gens, order = _search_levels(g, path, traces, leaf)
+    gens.reverse()  # shallowest level first, for chains built blind
+    base = [cell[0] for _, cell in path]
+    chain = build_chain(g.n, gens, base_prefix=base, known_order=order)
+    return PermGroup._with_chain(g.n, [Permutation(p) for p in gens], chain)
 
 
 def _search_levels(g, path, traces, leaf):
-    """Raw generators and order of the automorphisms of ``g`` that preserve
-    the root cells of the anchor path ``path``, whose child traces and leaf
-    order are ``traces`` and ``leaf`` (as ``_anchor_path`` returns them)."""
+    """Raw generators, in the order found, and order of the automorphisms of
+    ``g`` that preserve the root cells of the anchor path ``path``, whose
+    child traces and leaf order are ``traces`` and ``leaf`` (as
+    ``_anchor_path`` returns them)."""
     accept = partial(_leaf_map, g, leaf, g)
     gens, order = [], 1
-    for depth, (part, cell) in enumerate(path):
-        # orbit of the branch vertex under generators fixing the prefix;
-        # generators found at deeper levels fix it, so level order is safe
-        level_gens = _prefix_gens(gens, path, depth)
-        orbit = orbit_closure(level_gens, cell[:1])
-        # siblings with no mapped leaf, closed under level_gens: an image of
-        # a failed sibling under an automorphism fixing the prefix fails too
+    for depth in reversed(range(len(path))):
+        part, cell = path[depth]
+        # levels run deepest first, so every generator found so far fixes
+        # the branch vertices above this level: the orbit of this level's
+        # branch vertex under them
+        orbit = orbit_closure(gens, cell[:1])
+        # siblings with no mapped leaf, closed under gens: an image of a
+        # failed sibling under an automorphism fixing the prefix fails too
         failed = set()
         for v in cell[1:]:
             if v in orbit or v in failed:
                 continue
             found = find_mapped_leaf(g.adjacency, part, v, traces, depth, accept)
             if found is None:
-                failed |= orbit_closure(level_gens, [v])
+                failed |= orbit_closure(gens, [v])
                 continue
+            # found moves the branch vertex out of the orbit, so it lies
+            # outside the group of gens and at least doubles it
             gens.append(found)
-            level_gens.append(found)
-            orbit = orbit_closure(level_gens, orbit)
-            failed = orbit_closure(level_gens, failed)
+            orbit = orbit_closure(gens, orbit)
+            failed = orbit_closure(gens, failed)
         # every sibling outside the orbit was searched exhaustively or lies
         # in the orbit of one that was, so this is the whole orbit of the
         # prefix stabilizer: |Aut| is the product

@@ -452,7 +452,7 @@ class PermGroup:
 
     @classmethod
     def _with_chain(cls, degree, generators, chain):
-        G = cls(degree, generators)
+        G = cls(degree, generators, order=chain.order())
         G._chain = chain
         return G
 

@@ -1,11 +1,12 @@
 import hashlib
+import math
 import random
 import time
 from itertools import permutations
 
 import pytest
 
-from locdt import autgrp
+from locdt import autgrp, perms
 from locdt.autgrp import (
     Coloring,
     LimitError,
@@ -16,6 +17,7 @@ from locdt.autgrp import (
 )
 from locdt.graphs import Graph, GraphError, lift_group, subdivision
 from locdt.geometry import (
+    complete,
     complete_bipartite,
     cycle,
     hoffman_singleton,
@@ -308,12 +310,47 @@ def test_search_order_matches_blind_chain(name):
     assert build_chain(h.n, G.raw_generators).order() == G.order()
 
 
-# sha256 of repr(G.raw_generators), recorded before failure-orbit pruning:
-# pruning skips only searches that fail, so it must not change a generator
+@pytest.mark.parametrize("relabel", [False, True], ids=["constructor", "relabeled"])
+@pytest.mark.parametrize("name", [*sorted(FAMILY_GRAPHS), "k6"])
+def test_search_generator_count_is_pinned_below_log2_order(name, relabel):
+    """The search takes the anchor path deepest level first, so every
+    generator found so far fixes the prefix of the level being searched.
+    A new one moves that level's branch vertex out of their orbit, so it
+    lies outside the group they generate and at least doubles it."""
+    g = complete(6) if name == "k6" else FAMILY_GRAPHS[name]()
+    G = automorphism_group(_shuffled(g, name) if relabel else g)
+    assert len(G.generators) <= math.log2(G.order())
+
+
+@pytest.mark.parametrize("make, order", [
+    (hoffman_singleton, 252000),
+    (lambda: incidence_hexagon(2).graph, 12096),
+], ids=["hosi", "h2"])
+def test_search_group_order_is_pinned_without_a_product_or_sift(
+    monkeypatch, make, order
+):
+    """The generators fixing each anchor prefix generate that prefix's
+    stabilizer, a strong generating set for the anchor base; the group
+    comes with its chain on that base, whose orbits multiply to the order
+    at once."""
+    G = automorphism_group(make())
+    calls = []
+    mul, sift = perms._mul, perms._Chain.sift
+    monkeypatch.setattr(perms, "_mul", lambda *a: calls.append(a) or mul(*a))
+    monkeypatch.setattr(
+        perms._Chain, "sift", lambda *a: calls.append(a) or sift(*a)
+    )
+    assert G.order() == order
+    assert calls == []
+
+
+# sha256 of repr(G.raw_generators): the anchor path and the level order of
+# the search (deepest first) fix them.  Failure-orbit pruning and trace
+# abort skip only searches that fail, so neither may change a generator
 SEARCH_GENERATORS_SHA256 = {
-    "w3(q=3)": "cb307cba2308e2f3bff28b7265e77d2b8d7180ef18ade6f07f42e592e5e4da40",
-    "pg2(q=4)": "244c3ed06c05e9acf2030b78471a0406496fdcd2e7c414bb03838f6ac1748857",
-    "hosi": "c150b1468cd27ca3bbcb8a5fafa16a0a47998c9d97e92dea4e28fe5e119f4f03",
+    "w3(q=3)": "1b5b6d6aebd2ef80a9348e02a9fde36bda410a818835a5f7941aaa48d9a30467",
+    "pg2(q=4)": "e82bd195d8b6ccf76ab7ca07822fced7228023a5855b3fd38889d67128e81a0c",
+    "hosi": "6db2a455d905a2a3424ddbbc47a7404b504d3e60b593e4773263187f6bd127e9",
 }
 
 
@@ -326,15 +363,15 @@ def test_search_generators_are_pinned(name):
 
 def test_failure_orbits_prune_the_w33_search(monkeypatch):
     """Without failure-orbit pruning the W(3,3) search individualizes
-    27 637 times; with it, 766."""
+    27 604 times; with it, 733."""
     calls = _individualize_budget(monkeypatch, 2000)
     assert automorphism_group(incidence_w3(3).graph).order() == 51840
-    assert len(calls) == 766
+    assert len(calls) == 733
 
 
 @pytest.mark.parametrize("name, order, nodes", [
-    ("pg2(q=4)", 241920, 179),
-    ("hosi", 252000, 191),
+    ("pg2(q=4)", 241920, 97),
+    ("hosi", 252000, 67),
 ])
 def test_search_tree_is_pinned(monkeypatch, name, order, nodes):
     """The exact individualization counts of the search on the
@@ -346,15 +383,15 @@ def test_search_tree_is_pinned(monkeypatch, name, order, nodes):
 
 
 @pytest.mark.parametrize("q, order, splits", [
-    (4, 3916800, 5041),
-    (3, 51840, 6501),
+    (4, 3916800, 3210),
+    (3, 51840, 6130),
 ])
 def test_trace_abort_split_counts_are_pinned(monkeypatch, q, order, splits):
     """The ``_split`` calls of the search on the constructor's W(3,q): a
     sibling's refinement stops at its first trace entry that differs from
-    the anchor path's.  The 144 rejected siblings on W(3,4) all differ at
+    the anchor path's.  The 112 rejected siblings on W(3,4) all differ at
     the second of 108 entries, the 432 on W(3,3) at the 11th of 18.
-    Refining every sibling to the end made 20 305 and 7 797 splits."""
+    Refining every sibling to the end makes 15 082 and 7 426 splits."""
     calls = []
     real = autgrp._split
 

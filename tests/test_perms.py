@@ -210,11 +210,11 @@ def _lifted_aut(g):
 
 # The stabilizer of an edge vertex of S(HoSi), relabeled by seed 1.  Its
 # first strong generators fix both ends of the edge: built by the pair scan
-# alone, the chain completed that index-2 subgroup first, in 471 sifts and
-# 1 469 products, before a level-0 Schreier generator reversed the edge.
-HOSI_EDGE_STABILIZER_PRODUCTS = 90
+# alone, the chain completes that index-2 subgroup first, in 124 sifts and
+# 442 products, before a level-0 Schreier generator reverses the edge.
+HOSI_EDGE_STABILIZER_PRODUCTS = 131
 HOSI_EDGE_STABILIZER_SHA256 = (
-    "026aed94dac5ee0f2d072206f25ca25c1ce473f2fd91106d666904c38ebef4a5"
+    "39dad9a55d2181137f1c98ee805fbaf20776ab7141f0abbf44906d246c0a3ca0"
 )
 
 
@@ -306,8 +306,8 @@ def test_pair_scan_completes_a_chain_that_seeding_left_short(stream, monkeypatch
 @pytest.mark.parametrize(
     "make,seeded",
     [
-        (hoffman_singleton, 2),
-        (lambda: incidence_pg2(4).graph, 2),
+        (hoffman_singleton, 1),
+        (lambda: incidence_pg2(4).graph, 1),
         (lambda: complete_bipartite(4, 4), 0),
     ],
     ids=["hosi", "pg24", "k44"],
@@ -316,7 +316,8 @@ def test_stabilizers_of_lifted_groups_agree_with_sympy(make, seeded, monkeypatch
     """Every orbit representative x of the lifted group: |G_x| |x^G| = |G|,
     every strong generator of G_x fixes x and lies in G, and G_x has the
     orbit sizes of sympy's stabilizer on every sphere around x.  On this
-    relabeling both HoSi and PG(2,4) builds seed; K_{4,4}'s never do."""
+    relabeling one HoSi build and one PG(2,4) build seed; K_{4,4}'s never
+    do."""
     pytest.importorskip("sympy")
     from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
@@ -380,28 +381,44 @@ def test_stabilizer_chain_forms_only_the_representatives_it_reads(monkeypatch):
         assert chain.order() == G.order() == 12096
 
 
-# Level-0 strong generators of the blind chains of Aut(W(3,2)), Aut(W(3,4))
-# and Aut(H(2)) built from the search's 11, 21 and 12 generators: a blind
-# build absorbs them in turn and drops each that sifts to the identity.
-BLIND_LEVEL0_GENERATORS = 5
-
-
 @pytest.mark.parametrize(
-    "make,ngens,order",
+    "make,ngens,order,level0",
     [
-        (lambda: incidence_w3(2).graph, 11, 1440),
-        (lambda: incidence_w3(4).graph, 21, 3916800),
-        (lambda: incidence_hexagon(2).graph, 12, 12096),
+        (lambda: incidence_w3(2).graph, 7, 1440, 3),
+        (lambda: incidence_w3(4).graph, 12, 3916800, 2),
+        (lambda: incidence_hexagon(2).graph, 8, 12096, 3),
     ],
     ids=["w32", "w34", "h2"],
 )
-def test_blind_chain_level0_generators_are_pinned(make, ngens, order):
+def test_blind_chain_level0_generators_are_pinned(make, ngens, order, level0):
+    """Level-0 strong generators of the blind chain built from the search's
+    generators: a blind build absorbs them in turn, shallowest search level
+    first, and drops each that sifts to the identity."""
     g = make()
     gens = automorphism_group(g).raw_generators
     assert len(gens) == ngens
     chain = build_chain(g.n, gens)
     assert chain.order() == order
-    assert len(chain.sgd[0]) == BLIND_LEVEL0_GENERATORS
+    assert len(chain.sgd[0]) == level0
+
+
+def test_blind_chain_products_of_h3_are_pinned_within_budget(monkeypatch):
+    """The blind chain of Aut(H(3)), as a generator file written by ``aut``
+    gives it, forms 3 841 products from the search's 11 generators, handed
+    out shallowest search level first.  In the order the search finds them,
+    deepest first, the same build forms 55 295."""
+    g = incidence_hexagon(3).graph
+    gens = automorphism_group(g).raw_generators
+    products = []
+    real = perms._mul
+
+    def counted(p, q):
+        products.append(None)
+        return real(p, q)
+
+    monkeypatch.setattr(perms, "_mul", counted)
+    assert build_chain(g.n, gens).order() == 8491392
+    assert len(gens) == 11 and len(products) <= 6000
 
 
 def test_schreier_sims_identity_and_s5():
