@@ -218,7 +218,8 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
     whose orbits multiply to the order with no sift.  Its generators run
     shallowest level first: a chain built blind from them, as from a
     generator file written by ``aut -o``, absorbs them far more cheaply in
-    that order than in the order found."""
+    that order than in the order found.  The group records g as the graph
+    its generators are automorphisms of: ``_leaf_map`` checked each one."""
     if g.n > limit:
         raise LimitError(f"graph has {g.n} vertices, limit is {limit}")
     part, _ = _root(g, coloring or unit_coloring(g))
@@ -227,7 +228,9 @@ def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
     gens.reverse()  # shallowest level first, for chains built blind
     base = [cell[0] for _, cell in path]
     chain = build_chain(g.n, gens, base_prefix=base, known_order=order)
-    return PermGroup._with_chain(g.n, [Permutation(p) for p in gens], chain)
+    G = PermGroup._with_chain(g.n, [Permutation(p) for p in gens], chain)
+    G.automorphisms_of = g
+    return G
 
 
 def _search_levels(g, path, traces, leaf):

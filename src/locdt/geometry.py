@@ -252,26 +252,10 @@ def hoffman_singleton():
 def projective_points(field, dim):
     """Points of PG(dim, q): normalised nonzero coordinate vectors,
     first nonzero coordinate 1, sorted lexicographically."""
-    q = field.q
-    pts = set()
-    for vec in product(range(q), repeat=dim + 1):
-        if all(c == 0 for c in vec):
-            continue
-        pts.add(_normalize(field, vec))
-    return sorted(pts)
-
-
-def _normalize(field, vec):
-    lead = next(c for c in vec if c != 0)
-    scale = field.inv[lead]
-    return tuple(field.mul[scale][c] for c in vec)
-
-
-def _dot(field, x, y):
-    out = 0
-    for a, b in zip(x, y):
-        out = field.add[out][field.mul[a][b]]
-    return out
+    # the later the leading 1, the earlier the point
+    return [(0,) * lead + (1,) + tail
+            for lead in reversed(range(dim + 1))
+            for tail in product(range(field.q), repeat=dim - lead)]
 
 
 @dataclass(frozen=True)
@@ -307,52 +291,79 @@ def incidence_pg2(q):
     vanishes."""
     field = gf(q)
     pts = projective_points(field, 2)
-    lines = [[i for i, x in enumerate(pts) if _dot(field, x, a) == 0] for a in pts]
+    rank = {p: i for i, p in enumerate(pts)}
+    lines = [sorted(rank[p] for p in _null_points(field, [a], 3)) for a in pts]
     return _incidence_graph(pts, lines, pts)
 
 
 def _span_points(field, x, y):
-    """All normalised points on the line through x and y."""
-    q = field.q
-    pts = {_normalize(field, x), _normalize(field, y)}
-    for t in range(q):
-        vec = tuple(field.add[a][field.mul[t][b]] for a, b in zip(x, y))
-        pts.add(_normalize(field, vec))
-    return tuple(sorted(pts))
+    """The points on the line through two points whose leading 1s lie in
+    different columns: v, the one that leads later, and u + c v for the
+    other, u, and each c in GF(q), all led by u's 1."""
+    (v, u), add, mul = sorted((x, y)), field.add, field.mul
+    span = [tuple(add[a][mul[c][b]] for a, b in zip(u, v)) for c in range(field.q)]
+    return tuple(sorted([v, *span]))
 
 
-def _pair_geometry(field, pts, collinear):
-    """Incidence graph of the lines through the pairs x, y of ``pts`` with
-    ``collinear(x, y)`` that lie wholly in ``pts``; each line is named by
-    its sorted point indices.  Each line is spanned once: the pairs of
-    ``pts`` on a spanned line are covered, and a covered pair spans it
-    again (two points lie on one line), so it is skipped."""
-    rank = {p: i for i, p in enumerate(pts)}
-    lines, covered = set(), set()
-    for (i, x), (j, y) in combinations(enumerate(pts), 2):
-        if (i, j) in covered or not collinear(x, y):
+def _null_points(field, rows, n):
+    """Normalised points of PG(n-1, q) on the solutions of ``rows`` . y = 0.
+    Pivots are taken in the last column they can be, so the basis solution
+    of each free column leads with a 1 there, where the others are 0: a
+    combination whose first nonzero coefficient is 1 is normalised."""
+    add, mul, neg = field.add, field.mul, field.neg
+    rows, red = [list(r) for r in rows if any(r)], {}
+    for col in reversed(range(n)):
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
             continue
-        span = [rank.get(p) for p in _span_points(field, x, y)]
-        on = sorted(r for r in span if r is not None)
-        covered.update(combinations(on, 2))
-        if len(on) == len(span):
-            lines.add(tuple(on))
-    lines = sorted(lines)
+        rows.remove(piv)
+        s = field.inv[piv[col]]
+        piv = [mul[s][a] for a in piv]
+        for r in rows + list(red.values()):
+            if c := neg[r[col]]:
+                r[:] = [add[a][mul[c][b]] for a, b in zip(r, piv)]
+        red[col] = piv
+    basis = [[neg[red[g][f]] if g in red else int(g == f) for g in range(n)]
+             for f in range(n) if f not in red]
+    points = []
+    for coeffs in projective_points(field, len(basis) - 1):
+        y = (0,) * n
+        for c, b in zip(coeffs, basis):
+            y = tuple(add[a][mul[c][u]] for a, u in zip(y, b))
+        points.append(y)
+    return points
+
+
+def _lines_per_point(field, pts, equations):
+    """Incidence graph of the lines joining each point x of ``pts`` to the
+    points y of ``pts`` with ``equations(x)`` . y = 0, a symmetric relation
+    that x satisfies; the line xy lies in ``pts`` when y does, else meets
+    it in x alone.  Lines are named by their sorted point indices.
+
+    Each line through x in the solution space meets y_t = 0, t the column
+    of x's leading 1, in one point y.  x is the line's least point, the
+    one that leads last, exactly when y leads before it, that is y > x: so
+    each line is spanned once, from its least point."""
+    rank = {p: i for i, p in enumerate(pts)}
+    lines = []
+    for x in pts:
+        lead = [int(k == x.index(1)) for k in range(len(x))]
+        for y in _null_points(field, [*equations(x), lead], len(x)):
+            if y > x and y in rank:
+                lines.append(tuple(sorted(rank[p] for p in _span_points(field, x, y))))
+    lines.sort()
     return _incidence_graph(pts, lines, lines)
 
 
 def incidence_w3(q):
     """Incidence graph of the symplectic quadrangle W(3,q): all points of
     PG(3,q) and the totally isotropic lines of the alternating form
-    x0*y1 - x1*y0 + x2*y3 - x3*y2."""
+    x0*y1 - x1*y0 + x2*y3 - x3*y2.  The points collinear with x are the
+    solutions of that one equation, linear in y: x's perp, a plane."""
     field = gf(q)
-
-    def isotropic(x, y):
-        a = field.sub(field.mul[x[0]][y[1]], field.mul[x[1]][y[0]])
-        b = field.sub(field.mul[x[2]][y[3]], field.mul[x[3]][y[2]])
-        return field.add[a][b] == 0
-
-    return _pair_geometry(field, projective_points(field, 3), isotropic)
+    neg = field.neg
+    return _lines_per_point(field, projective_points(field, 3),
+                            lambda x: [(neg[x[1]], x[0], neg[x[3]], x[2])])
 
 
 def incidence_hexagon(q):
@@ -364,12 +375,17 @@ def incidence_hexagon(q):
     relations of the standard model:
         p12 = p34, p20 = p35, p01 = p36,
         p30 = p65, p31 = p46, p32 = p54.
-    Correctness is accepted behaviourally (counts, girth 12, diameter 6,
-    cage certificate) rather than symbolically.
+    For a fixed x the relations are linear in y, and so is the quadric's
+    polar form B(x, y): x and y on the quadric span a quadric line exactly
+    when B(x, y) = 0, as then Q(x + ty) = t B(x, y).  So the points on the
+    lines through x are the quadric points among the solutions of seven
+    linear equations.  Correctness is accepted behaviourally (counts,
+    girth 12, diameter 6, cage certificate) rather than symbolically.
     """
     if q not in (2, 3):
         raise GraphError(f"hexagon supported for q in {{2,3}}, got {q}")
     field = gf(q)
+    add, neg = field.add, field.neg
 
     def quadric(x):
         s = field.mul[x[0]][x[4]]
@@ -377,20 +393,17 @@ def incidence_hexagon(q):
         s = field.add[s][field.mul[x[2]][x[6]]]
         return field.sub(s, field.mul[x[3]][x[3]])
 
-    def grassmann(x, y, i, j):
-        return field.sub(field.mul[x[i]][y[j]], field.mul[x[j]][y[i]])
-
     relations = ((1, 2, 3, 4), (2, 0, 3, 5), (0, 1, 3, 6),
                  (3, 0, 6, 5), (3, 1, 4, 6), (3, 2, 5, 4))
 
-    def hexagon_line(x, y):
-        for i, j, k, l in relations:
-            if grassmann(x, y, i, j) != grassmann(x, y, k, l):
-                return False
-        return True
+    def equations(x):  # each p_ij - p_kl, then B(x, y), as a row in y
+        rows = [[0] * 7 for _ in relations]
+        for r, (i, j, k, l) in zip(rows, relations):
+            r[i], r[j], r[k], r[l] = neg[x[j]], x[i], x[l], neg[x[k]]
+        return [*rows, (x[4], x[5], x[6], neg[add[x[3]][x[3]]], *x[:3])]
 
     pts = [p for p in projective_points(field, 6) if quadric(p) == 0]
-    return _pair_geometry(field, pts, hexagon_line)
+    return _lines_per_point(field, pts, equations)
 
 
 # ---------------------------------------------------------------------------

@@ -144,11 +144,12 @@ class SubdivisionMap:
     """Index bookkeeping for a subdivision graph.
 
     Original vertex i keeps index i; the edge vertex for (u, v) sits at
-    n + (lexicographic rank of the edge).
+    n + (lexicographic rank of the edge).  ``graph`` is S(g) itself.
     """
 
     n: int
     edges: tuple
+    graph: Graph
 
     def edge_vertex(self, u, v):
         e = (u, v) if u < v else (v, u)
@@ -264,7 +265,8 @@ def subdivision(g):
     else:
         labels = [f"v{i}" for i in range(n)]
     labels.extend(f"e({u},{v})" for u, v in edges)
-    return Graph(n + len(edges), sub_edges, labels), SubdivisionMap(n, edges)
+    sub = Graph(n + len(edges), sub_edges, labels)
+    return sub, SubdivisionMap(n, edges, sub)
 
 
 def line_graph(g):
@@ -381,9 +383,13 @@ def lift_to_subdivision(p, smap):
 def lift_group(G, smap):
     """Lift every generator of ``G`` to the subdivision graph.  The lift is
     faithful (restricting to the original vertices recovers the element),
-    so the lifted group carries the order of ``G``."""
+    so the lifted group carries the order of ``G``.  It records S(g): each
+    lift is an automorphism, as ``lift_to_subdivision`` rejects any
+    generator that does not map edges to edges."""
     gens = [lift_to_subdivision(p, smap) for p in G.generators]
-    return PermGroup(smap.n + smap.m, gens, order=G.order())
+    lifted = PermGroup(smap.n + smap.m, gens, order=G.order())
+    lifted.automorphisms_of = smap.graph
+    return lifted
 
 
 def moore_bound(k, g):
@@ -419,7 +425,10 @@ def moore_and_cage(g, gi):
 
 def check_generators_are_automorphisms(g, G):
     """Raise GroupError unless ``G`` acts on the vertices of ``g`` and every
-    generator is an automorphism of ``g``."""
+    generator is an automorphism of ``g``; at once for the very graph
+    ``G.automorphisms_of`` records, and for no other, not even a copy."""
+    if G.automorphisms_of is g:
+        return
     if G.degree != g.n:
         raise GroupError(f"group degree {G.degree} does not match graph n={g.n}")
     for p in G.generators:

@@ -425,7 +425,8 @@ def build_chain(degree, gens, base_prefix=(), known_order=None):
 
 class PermGroup:
     """Finitely generated permutation group on 0..degree-1; its ``order``,
-    when known, is the ``known_order`` of its chain."""
+    when known, is the ``known_order`` of its chain.  ``automorphisms_of``
+    is a graph every generator is proven an automorphism of, or None."""
 
     def __init__(self, degree, generators, order=None):
         gens = []
@@ -445,6 +446,7 @@ class PermGroup:
         self.generators = tuple(gens)
         self._order = order
         self._chain = None
+        self.automorphisms_of = None
 
     @classmethod
     def trivial(cls, degree):

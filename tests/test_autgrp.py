@@ -1,12 +1,14 @@
 import hashlib
 import math
 import random
+import sys
 import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from locdt import autgrp, perms
+from locdt import autgrp, graphs, perms
 from locdt.autgrp import (
     Coloring,
     LimitError,
@@ -26,7 +28,7 @@ from locdt.geometry import (
     incidence_w3,
     petersen,
 )
-from locdt.harness import chamber_groups_on_w32
+from locdt.harness import chamber_groups_on_w32, run_case_by_id
 from locdt.perms import GroupError, PermGroup, build_chain, symmetric_group
 
 
@@ -359,6 +361,23 @@ def test_search_generators_are_pinned(name):
     G = automorphism_group(_relabeled(name))
     digest = hashlib.sha256(repr(G.raw_generators).encode()).hexdigest()
     assert digest == SEARCH_GENERATORS_SHA256[name]
+
+
+def test_row7_generator_checks_are_pinned_to_the_search(monkeypatch):
+    """Row 7 checks each of H(3)'s 11 search generators once, edge by edge
+    in the search's ``_leaf_map``.  The group records H(3) and its lift
+    S(H(3)), so neither ``analyze`` nor ``check_local_sdt`` checks again."""
+    callers = Counter()
+    real = graphs.isomorphism_failure
+
+    def counted(*args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "isomorphism_failure", counted)
+    monkeypatch.setattr(autgrp, "isomorphism_failure", counted)
+    assert run_case_by_id("7", include_hexagon=True)["passed"]
+    assert callers == {"_leaf_map": 11}
 
 
 def test_failure_orbits_prune_the_w33_search(monkeypatch):

@@ -142,6 +142,23 @@ def test_check_ldt_bad_generators_exit4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("subdivide", [(), ("--subdivide",)], ids=["base", "lifted"])
+def test_check_ldt_tampered_generator_file_exit4(tmp_path, capsys, subdivide):
+    """Two images swapped in one generator of an ``aut -o`` file leave a
+    permutation that is no automorphism.  A group read from a file records
+    no graph, so it is checked on both paths: on W(3,2) by
+    check_local_sdt, and on S(W(3,2)) by the lift, which rejects it."""
+    good, bad = tmp_path / "g.txt", tmp_path / "bad.txt"
+    assert run_cli(capsys, "aut", "w3", "--q", "2", "-o", str(good))[0] == 0
+    header, first, *rest = good.read_text().splitlines()
+    a, b, *images = first.split()
+    bad.write_text("\n".join([header, " ".join([b, a, *images]), *rest]) + "\n")
+    code, out, err = run_cli(capsys, "check-ldt", "w3", "--q", "2",
+                             "--gens", str(bad), "--s", "8", *subdivide)
+    assert code == 4
+    assert out == "" and "error" in err
+
+
 @pytest.mark.parametrize(
     "text",
     ["x 1\n1 0\n", "2 1 3\n1 0\n", "2 1\n0 z\n", "3 1\n1 0\n"],

@@ -182,12 +182,11 @@ def test_incidence_geometry_bytes_are_pinned(build, q):
 
 @pytest.mark.parametrize("build, q, spans, lines", [
     (incidence_w3, 3, 40, 40),
-    (incidence_hexagon, 3, 481, 364),
+    (incidence_hexagon, 3, 364, 364),
 ], ids=["w3", "hexagon"])
-def test_pair_geometry_spans_each_line_once(monkeypatch, build, q, spans, lines):
-    """One span per distinct line through a collinear pair: a pair on a line
-    already spanned would span it again.  117 of H(3)'s spans leave the
-    quadric; before this rule it spanned 2 301 times, W(3,3) 240."""
+def test_lines_per_point_span_each_line_once(monkeypatch, build, q, spans, lines):
+    """One span per line, from its least point; the polar equation keeps
+    H(3)'s candidates on quadric lines, so no span leaves the quadric."""
     spanned = []
     real = geometry._span_points
 

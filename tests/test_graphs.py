@@ -2,6 +2,7 @@ import pytest
 
 from locdt import graphs
 from locdt.autgrp import automorphism_group
+from locdt.checks import check_local_sdt
 from locdt.graphs import (
     INF,
     Graph,
@@ -11,6 +12,8 @@ from locdt.graphs import (
     diameter,
     distance2_components,
     girth,
+    isomorphism_failure,
+    lift_group,
     lift_to_subdivision,
     line_graph,
     moore_bound,
@@ -323,6 +326,50 @@ def test_analyze_rejects_a_group_that_is_not_of_automorphisms():
         analyze(g, PermGroup(10, [swap]))
     with pytest.raises(GroupError, match="does not match"):
         analyze(g, PermGroup(11, []))
+
+
+def test_automorphism_record_stays_with_its_graph():
+    """A search group and its lift skip the check on the graph they record
+    and on no other: on a relabelled copy, where some generator is not an
+    automorphism, analyze and check_local_sdt still raise."""
+    g = incidence_w3(2).graph
+    sub, smap = subdivision(g)
+    for G, graph in ((automorphism_group(g), g),
+                     (lift_group(automorphism_group(g), smap), sub)):
+        h = graph.relabeled(list(reversed(range(graph.n))))
+        assert G.automorphisms_of is graph
+        assert any(isomorphism_failure(h, h, p.images) is not None
+                   for p in G.generators)
+        with pytest.raises(GroupError, match="not an automorphism"):
+            analyze(h, G)
+        with pytest.raises(GroupError, match="not an automorphism"):
+            check_local_sdt(h, G, 8)
+
+
+def test_groups_that_record_no_graph_take_the_full_check(monkeypatch):
+    """Only the search and the lift record a graph.  A group built by hand
+    from the search's generators, and the groups that restrict, stabilizer
+    and index2_subgroups_over_derived return, are checked generator by
+    generator in analyze and in check_local_sdt."""
+    g = incidence_w3(2).graph  # Aut(W(3,2)) / D is of order 4, as in row 6
+    G = automorphism_group(g)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return isomorphism_failure(*args)
+
+    monkeypatch.setattr(graphs, "isomorphism_failure", counted)
+    analyze(g, G)
+    check_local_sdt(g, G, 1)
+    assert calls == []
+    for H in (PermGroup(g.n, G.generators), G.restrict(range(g.n)),
+              G.stabilizer(0), *G.index2_subgroups_over_derived()):
+        assert H.automorphisms_of is None and H.generators
+        analyze(g, H)
+        check_local_sdt(g, H, 1)
+        assert len(calls) == 2 * len(H.generators)
+        calls.clear()
 
 
 def test_analyze_runs_bfs_from_representatives_and_their_neighbours(monkeypatch):

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from locdt.autgrp import automorphism_group
+from locdt.graphs import isomorphism_failure, lift_group, subdivision
 from locdt.harness import (
     CASES,
     HEXAGON_CASE,
@@ -28,6 +30,20 @@ def test_constructor_registry():
 def test_case_rows_are_unique():
     rows = [c.row for c in CASES + NEGATIVE_CASES + (HEXAGON_CASE,)]
     assert len(rows) == len(set(rows))
+
+
+def test_every_rows_search_group_and_lift_are_automorphisms():
+    """The check each recorded group skips, made directly: on every row's
+    graph each search generator is an automorphism, and on the
+    subdivision graph each lift of one."""
+    for case in (*CASES, *NEGATIVE_CASES, HEXAGON_CASE):
+        g = build_constructor(case.constructor, case.params)
+        sub, smap = subdivision(g)
+        G = automorphism_group(g)
+        for graph, H in ((g, G), (sub, lift_group(G, smap))):
+            assert H.automorphisms_of is graph, case.row
+            for p in H.generators:
+                assert isomorphism_failure(graph, graph, p.images) is None, case.row
 
 
 def test_verify_case_row2():
