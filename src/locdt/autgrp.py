@@ -10,8 +10,9 @@ searched, so each new one at least doubles the group, and the generators
 form a strong generating set for the base of anchor vertices.  Pruning uses
 refinement traces plus the orbits of the automorphisms found so far, so
 sibling branches inside an orbit are never explored twice.  Failures prune
-by orbit as well: a sibling with no leaf equivalent to the anchor leaf has
-none anywhere in its orbit under the automorphisms that fix the prefix, so
+by orbit as well, at every node of the tree: a child with no leaf
+equivalent to the anchor leaf has none anywhere in its orbit under the
+automorphisms found so far that fix the node's individualized vertices, so
 that whole orbit is skipped (McKay & Piperno 2014).  The skipped searches
 would all fail, so the generators found are the same as without this
 pruning.  A sibling's refinement stops at its first trace entry that
@@ -189,21 +190,37 @@ def _leaf_map(g1, leaf1, g2, leaf2):
     return tuple(mapping) if isomorphism_failure(g1, g2, mapping) is None else None
 
 
-def find_mapped_leaf(adj, part, v, traces, depth, accept):
+def find_mapped_leaf(adj, part, v, traces, depth, accept, gens):
     """Individualize ``v`` in the level-``depth`` partition ``part``; below
     it, the first leaf repeating ``traces`` from ``depth`` on that
     ``accept`` maps to a value other than None gives the result.  A node's
     refinement stops at its first trace entry that differs from
     ``traces[depth]`` (McKay & Piperno 2014), so a rejected node costs only
-    its matching prefix; the nodes visited are the same."""
+    its matching prefix.  ``gens`` are automorphisms fixing the vertices
+    individualized above ``part``; those that also fix v prune its children."""
     part, trace = _individualize(adj, part, v, traces[depth])
     if trace != traces[depth]:
         return None
     if depth + 1 == len(traces):
         return accept(tuple(part[0]))
-    found = (find_mapped_leaf(adj, part, w, traces, depth + 1, accept)
-             for w in _cell(part, _target_cell(part)))
-    return next((f for f in found if f is not None), None)
+    gens = [p for p in gens if p[v] == v]
+    cell = _cell(part, _target_cell(part))
+    return _first_mapped_child(adj, part, cell, traces, depth + 1, accept, gens, set())
+
+
+def _first_mapped_child(adj, part, cell, traces, depth, accept, gens, failed):
+    """The first result other than None of ``find_mapped_leaf`` on the
+    children ``cell`` of ``part``.  ``gens`` fix the vertices individualized
+    above ``part``, so a failed child's orbit under them fails: it joins
+    ``failed``, whose children are skipped, so the result is the same."""
+    for w in cell:
+        if w in failed:
+            continue
+        found = find_mapped_leaf(adj, part, w, traces, depth, accept, gens)
+        if found is not None:
+            return found
+        failed |= orbit_closure(gens, [w])
+    return None
 
 
 def automorphism_group(g, coloring=None, limit=DEFAULT_VERTEX_LIMIT):
@@ -252,7 +269,7 @@ def _search_levels(g, path, traces, leaf):
         for v in cell[1:]:
             if v in orbit or v in failed:
                 continue
-            found = find_mapped_leaf(g.adjacency, part, v, traces, depth, accept)
+            found = find_mapped_leaf(g.adjacency, part, v, traces, depth, accept, gens)
             if found is None:
                 failed |= orbit_closure(gens, [v])
                 continue
@@ -275,10 +292,10 @@ def isomorphism(g1, g2, limit=DEFAULT_VERTEX_LIMIT):
     of g1's anchor path, one sibling per orbit of Aut(g2)'s prefix
     stabilizer, and checks each leaf map edge by edge.  The isomorphisms
     taking g1's anchor prefix onto g2's send the next anchor vertex into one
-    such orbit, so None is certified once all fail.  Disconnected graphs are matched
-    component by component: on them the search can take exponential time.
-    So can a hub joined by one edge to each of k >= 4 Shrikhande graphs,
-    against the same with a 4 x 4 rook's graph in place of one.
+    such orbit, so None is certified once all fail.  Below a sibling, the
+    same generators, less those that move a node's vertex, skip the orbit
+    of each failed child.  Disconnected graphs are matched component by
+    component: on them the search can take exponential time.
     """
     if g1.n > limit or g2.n > limit:
         raise LimitError(f"graph size exceeds limit {limit}")
@@ -301,13 +318,10 @@ def isomorphism(g1, g2, limit=DEFAULT_VERTEX_LIMIT):
         # the branch's own subtree is searched already, so its orbit fails
         level_gens = _prefix_gens(gens, path2, depth)
         failed = orbit_closure(level_gens, cell[:1])
-        for v in cell[1:]:
-            if v in failed:
-                continue
-            found = find_mapped_leaf(g2.adjacency, part, v, traces1, depth, accept)
-            if found is not None:
-                return found
-            failed |= orbit_closure(level_gens, [v])
+        found = _first_mapped_child(g2.adjacency, part, cell, traces1, depth,
+                                    accept, level_gens, failed)
+        if found is not None:
+            return found
     return None
 
 

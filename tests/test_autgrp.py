@@ -382,14 +382,15 @@ def test_row7_generator_checks_are_pinned_to_the_search(monkeypatch):
 
 def test_failure_orbits_prune_the_w33_search(monkeypatch):
     """Without failure-orbit pruning the W(3,3) search individualizes
-    27 604 times; with it, 733."""
+    27 604 times; pruning on the anchor path alone, 733; pruning at every
+    node of the leaf search, 74."""
     calls = _individualize_budget(monkeypatch, 2000)
     assert automorphism_group(incidence_w3(3).graph).order() == 51840
-    assert len(calls) == 733
+    assert len(calls) == 74
 
 
 @pytest.mark.parametrize("name, order, nodes", [
-    ("pg2(q=4)", 241920, 97),
+    ("pg2(q=4)", 241920, 80),
     ("hosi", 252000, 67),
 ])
 def test_search_tree_is_pinned(monkeypatch, name, order, nodes):
@@ -402,15 +403,15 @@ def test_search_tree_is_pinned(monkeypatch, name, order, nodes):
 
 
 @pytest.mark.parametrize("q, order, splits", [
-    (4, 3916800, 3210),
-    (3, 51840, 6130),
+    (4, 3916800, 2432),
+    (3, 51840, 817),
 ])
 def test_trace_abort_split_counts_are_pinned(monkeypatch, q, order, splits):
     """The ``_split`` calls of the search on the constructor's W(3,q): a
     sibling's refinement stops at its first trace entry that differs from
-    the anchor path's.  The 112 rejected siblings on W(3,4) all differ at
-    the second of 108 entries, the 432 on W(3,3) at the 11th of 18.
-    Refining every sibling to the end makes 15 082 and 7 426 splits."""
+    the anchor path's.  The 29 rejected siblings on W(3,4) all differ at
+    the second of 108 entries, the 15 on W(3,3) at the 11th of 18.
+    Refining every sibling to the end makes 5 506 and 862 splits."""
     calls = []
     real = autgrp._split
 
@@ -532,3 +533,88 @@ def test_isomorphism_splits_disconnected_graphs(monkeypatch):
     g2 = _shuffled(_disjoint_union(*[shrikhande] * 3, _rook_4x4()), "srg16")
     _individualize_budget(monkeypatch, 1000)
     assert isomorphism(g1, g2) is None
+
+
+def _hub(*parts):
+    """A new vertex 0 joined by one edge to the first vertex of each of
+    ``parts``, laid out after it."""
+    edges, n = [], 1
+    for part in parts:
+        edges += [(0, n)] + [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return Graph(n, edges)
+
+
+def _hubs(k):
+    """The hub of k Shrikhande graphs, and the same with the 4 x 4 rook's
+    graph in place of one: both srg(16, 6, 2, 2), so refinement cannot
+    tell the copies apart and many trace-equal subtrees must fail."""
+    shrikhande = _shrikhande()
+    return _hub(*[shrikhande] * k), _hub(*[shrikhande] * (k - 1), _rook_4x4())
+
+
+DIFFERENTIAL_GRAPHS = {
+    **FAMILY_GRAPHS,
+    "w3(q=4)": lambda: incidence_w3(4).graph,
+    "shrikhande-hub(k=4)": lambda: _hubs(4)[0],
+    "rook-hub(k=4)": lambda: _hubs(4)[1],
+}
+
+
+@pytest.mark.parametrize("relabel", [None, "1", "2"],
+                         ids=["constructor", "relabeled1", "relabeled2"])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+def test_failure_pruning_below_the_anchor_path_only_skips_failures(
+    monkeypatch, name, relabel
+):
+    """``find_mapped_leaf`` with no automorphisms passed down prunes
+    failures on the anchor path only.  Pruning at every node skips only
+    subtrees that fail, so both searches find the same generators in the
+    same order, and the pruned one individualizes no more often."""
+    g = DIFFERENTIAL_GRAPHS[name]()
+    if relabel is not None:
+        g = _shuffled(g, f"{name}/{relabel}")
+    calls = _individualize_budget(monkeypatch, 20000)
+    pruned = automorphism_group(g)
+    pruned_calls = len(calls)
+    real = autgrp.find_mapped_leaf
+    monkeypatch.setattr(
+        autgrp, "find_mapped_leaf",
+        lambda *args: real(*args[:6], ()),
+    )
+    calls.clear()
+    unpruned = automorphism_group(g)
+    assert pruned.raw_generators == unpruned.raw_generators
+    assert pruned.order() == unpruned.order()
+    assert pruned_calls <= len(calls)
+
+
+HUB_SEEDS = [1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", HUB_SEEDS)
+@pytest.mark.parametrize("k", [5, 6])
+def test_hub_isomorphism_is_pinned_within_budget(monkeypatch, k, seed):
+    """With failures pruned on the anchor path alone this individualized
+    172 902 times at k = 5 on seed 1: below a failed sibling, every
+    subtree that fails was walked again for each of its images."""
+    g1, g2 = (_shuffled(g, seed) for g in _hubs(k))
+    _individualize_budget(monkeypatch, 500)
+    assert isomorphism(g1, g2) is None
+
+
+@pytest.mark.parametrize("seed", HUB_SEEDS)
+@pytest.mark.parametrize("k", [5, 6])
+def test_hub_group_orders_are_pinned_within_budget(monkeypatch, k, seed):
+    """Aut of the Shrikhande hub: the stabilizer of a vertex in each copy
+    (192 / 16 = 12) and the k! permutations of the copies.  In the rook
+    hub the rook copy (1 152 / 16 = 72) is fixed.  With failures pruned
+    on the anchor path alone the rook hub took 86 519 individualizations
+    at k = 5 on seed 1."""
+    g1, g2 = (_shuffled(g, seed) for g in _hubs(k))
+    calls = _individualize_budget(monkeypatch, 500)
+    assert automorphism_group(g1).order() == 12**k * math.factorial(k)
+    calls.clear()
+    assert automorphism_group(g2).order() == (
+        72 * 12 ** (k - 1) * math.factorial(k - 1)
+    )
