@@ -509,11 +509,41 @@ def _individualize_budget(monkeypatch, limit):
 @pytest.mark.parametrize("name", ["hosi", "pg2(q=4)"])
 def test_isomorphism_of_large_symmetric_graphs_is_cheap(monkeypatch, name):
     """The search of the disjoint union missed a 10 s deadline on these;
-    the directed search makes fewer than 200 individualizations."""
+    the directed search returns at the deepest level with a mapped leaf,
+    well inside this budget (see ``test_isomorphism_work_is_pinned``)."""
     g, h = FAMILY_GRAPHS[name](), _relabeled(name)
     _individualize_budget(monkeypatch, 2000)
     phi = isomorphism(g, h)
     assert phi is not None and _is_isomorphism(g, h, phi)
+
+
+# sha256 of repr(isomorphism(g, _relabeled(name))): the anchor paths, the
+# level order and the generators each level holds fix the map returned
+ISOMORPHISM_SHA256 = {
+    "hosi": "42a39ca8f4c3bd5fa71b370095b400cb0923a30106efea4e7b51541918b2838b",
+    "pg2(q=4)": "b9b38a0ac9fd5d54581eb9edd90bfdb3bd7e210f0532ccb24a9cbb8fac25d755",
+    "w3(q=3)": "1ffe6217a217c5cf7c9bb063d9e533cc07e1b56e69b326f9f97c8e6ac76b998d",
+    "hexagon(q=2)": "ae6c6f2b5955afe2228a0e9d07012cc96d514846b4baf1c9809ce5d90e71eb28",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISOMORPHISM_SHA256))
+def test_isomorphism_maps_are_pinned(name):
+    phi = isomorphism(FAMILY_GRAPHS[name](), _relabeled(name))
+    digest = hashlib.sha256(repr(phi).encode()).hexdigest()
+    assert digest == ISOMORPHISM_SHA256[name]
+
+
+@pytest.mark.parametrize("name, nodes", [("hosi", 24), ("pg2(q=4)", 24)],
+                         ids=["hosi", "pg2(q=4)"])
+def test_isomorphism_work_is_pinned(monkeypatch, name, nodes):
+    """The exact individualization counts of the isomorphism search: it
+    returns at the first mapped leaf, at the deepest level, before the
+    shallower levels' automorphisms are searched.  Searching every level
+    first took 75 on HoSi and 91 on PG(2,4)."""
+    calls = _individualize_budget(monkeypatch, 2000)
+    assert isomorphism(FAMILY_GRAPHS[name](), _relabeled(name)) is not None
+    assert len(calls) == nodes
 
 
 def _disjoint_union(*parts):
@@ -524,15 +554,35 @@ def _disjoint_union(*parts):
     return Graph(n, edges)
 
 
-def test_isomorphism_splits_disconnected_graphs(monkeypatch):
-    """4 x Shrikhande against 3 x Shrikhande + rook's graph, relabeled:
-    matched component by component in under 200 individualizations.  The
-    directed search on the whole graphs ran for over a minute on this pair."""
-    shrikhande = _shrikhande()
-    g1 = _disjoint_union(*[shrikhande] * 4)
-    g2 = _shuffled(_disjoint_union(*[shrikhande] * 3, _rook_4x4()), "srg16")
+def _disconnected_pair(name):
+    """4 x Shrikhande against 3 x Shrikhande + rook's graph, relabeled, or
+    3 x (Heawood + K4) against 3 x (K4 + Heawood), its components in
+    another order, relabeled by the seed after the slash."""
+    if name == "srg16":
+        shrikhande = _shrikhande()
+        return _disjoint_union(*[shrikhande] * 4), _shuffled(
+            _disjoint_union(*[shrikhande] * 3, _rook_4x4()), "srg16")
+    heawood, k4 = incidence_pg2(2).graph, complete(4)
+    return _disjoint_union(*[heawood, k4] * 3), _shuffled(
+        _disjoint_union(*[k4, heawood] * 3), int(name.split("/")[1]))
+
+
+@pytest.mark.parametrize("name, isomorphic", [
+    ("srg16", False),
+    *((f"heawood-k4/{seed}", True) for seed in (1, 2, 3)),
+])
+def test_disconnected_isomorphism_is_pinned_within_budget(
+    monkeypatch, name, isomorphic
+):
+    """Disconnected graphs take the directed search on the whole graphs:
+    161 individualizations on the Shrikhande pair, 48 to 302 on the
+    Heawood + K4 seeds.  With failures pruned on the anchor path alone it
+    ran for over a minute on the Shrikhande pair."""
+    g1, g2 = _disconnected_pair(name)
     _individualize_budget(monkeypatch, 1000)
-    assert isomorphism(g1, g2) is None
+    phi = isomorphism(g1, g2)
+    assert (phi is not None) == isomorphic
+    assert phi is None or _is_isomorphism(g1, g2, phi)
 
 
 def _hub(*parts):
