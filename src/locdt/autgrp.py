@@ -27,7 +27,9 @@ A partition is flat, as in that paper: (order, start, size) lists the
 vertices cell by cell, ``start[v]`` is the offset of v's cell in ``order``
 and ``size[o]`` the length of the cell at offset o.  Refinement splits
 cells in place.  Its trace names a split cell by offset, which, given the
-cell sizes that earlier entries fix, determines the cell's position.
+cell sizes that earlier entries fix, determines the cell's position.  Most
+splitters are one vertex, which splits each cell it touches into its
+non-neighbours and neighbours with no counting, giving the same trace.
 """
 
 from collections import deque
@@ -70,6 +72,14 @@ def _refine(adj, part, seed, expected=None):
     Returns the trace, (cell offset, count keys, fragment sizes) per split
     and then the cell sizes, which is invariant under relabeling.
 
+    A splitter of one vertex s counts nothing: every count is 0 or 1, so
+    a touched cell of k neighbours among n vertices either is covered
+    (k = n, no split) or splits into its non-neighbours and neighbours,
+    each in cell order, with entry (o, (0, 1), (n - k, k)), and the first
+    largest fragment is the non-neighbours unless k > n - k.  That is what
+    counting gives, entry for entry, so the trace is the same; nauty
+    special-cases this trivial splitting cell too (McKay & Piperno 2014).
+
     Given an ``expected`` trace, the refinement stops at its first split
     entry that differs from the entry of ``expected`` at the same index
     (McKay & Piperno 2014), before making that split, and returns the
@@ -80,8 +90,35 @@ def _refine(adj, part, seed, expected=None):
     queue = deque(seed)
     cnt, trace = [0] * len(order), []
     while queue:
+        splitter = queue.popleft()
+        if len(splitter) == 1:
+            touched = {}
+            for w in adj[splitter[0]]:
+                if size[o := start[w]] > 1:
+                    touched.setdefault(o, []).append(w)
+            for o in sorted(touched, reverse=True):
+                nbrs, n = touched[o], size[o]
+                k = len(nbrs)
+                if k == n:
+                    continue
+                entry = (o, (0, 1), (n - k, k))
+                trace.append(entry)
+                # ``expected`` ends with its cell sizes, which no split
+                # entry equals, so this never reads past its end
+                if expected is not None and entry != expected[len(trace) - 1]:
+                    return tuple(trace)
+                rest = order[o : o + n]
+                if k == 1:
+                    rest.remove(nbrs[0])
+                else:
+                    nbrs = set(nbrs)
+                    rest, nbrs = ([v for v in rest if v not in nbrs],
+                                  [v for v in rest if v in nbrs])
+                _split(part, o, [rest, nbrs])
+                queue.append(tuple(nbrs if 2 * k <= n else rest))
+            continue
         touched = []
-        for s in queue.popleft():
+        for s in splitter:
             for w in adj[s]:
                 if cnt[w] == 0:
                     touched.append(w)
@@ -98,8 +135,6 @@ def _refine(adj, part, seed, expected=None):
             frags = [buckets[k] for k in keys]
             entry = (o, tuple(keys), tuple(map(len, frags)))
             trace.append(entry)
-            # ``expected`` ends with its cell sizes, which no split entry
-            # equals, so this never reads past its end
             if expected is not None and entry != expected[len(trace) - 1]:
                 return tuple(trace)
             _split(part, o, frags)
@@ -107,7 +142,11 @@ def _refine(adj, part, seed, expected=None):
             queue.extend(tuple(f) for f in frags if f is not largest)
         for w in touched:
             cnt[w] = 0
-    trace.append(tuple(size[o] for o in _cell_offsets(part)))
+    sizes, o = [], 0
+    while o < len(order):
+        sizes.append(size[o])
+        o += size[o]
+    trace.append(tuple(sizes))
     return tuple(trace)
 
 

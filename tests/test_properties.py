@@ -2,7 +2,7 @@
 laws that hold for every constructed family."""
 
 import random
-from collections import Counter
+from collections import Counter, deque
 
 from locdt import autgrp
 from locdt.autgrp import Coloring, refine, unit_coloring
@@ -21,7 +21,13 @@ from locdt.graphs import (
     sphere,
     subdivision,
 )
-from locdt.geometry import hoffman_singleton, petersen, petersen_s5
+from locdt.geometry import (
+    hoffman_singleton,
+    incidence_pg2,
+    incidence_w3,
+    petersen,
+    petersen_s5,
+)
 
 
 def random_connected_graph(rng, max_n=40):
@@ -278,3 +284,106 @@ def test_refine_stops_at_first_trace_difference():
                     assert got == trace[: k + 1] != other
                     aborted += got != trace
     assert aborted > 500
+
+
+def _reference_refine(adj, part, seed, expected=None):
+    """The counting kernel that ``autgrp._refine`` replaced for splitters
+    of one vertex, kept verbatim as the oracle: every splitter counts its
+    neighbours and every touched cell splits by count."""
+    _split, _cell_offsets = autgrp._split, autgrp._cell_offsets
+    order, start, size = part
+    queue = deque(seed)
+    cnt, trace = [0] * len(order), []
+    while queue:
+        touched = []
+        for s in queue.popleft():
+            for w in adj[s]:
+                if cnt[w] == 0:
+                    touched.append(w)
+                cnt[w] += 1
+        for o in sorted({start[w] for w in touched}, reverse=True):
+            if size[o] == 1:
+                continue
+            buckets = {}
+            for v in order[o : o + size[o]]:
+                buckets.setdefault(cnt[v], []).append(v)
+            if len(buckets) == 1:
+                continue
+            keys = sorted(buckets)
+            frags = [buckets[k] for k in keys]
+            entry = (o, tuple(keys), tuple(map(len, frags)))
+            trace.append(entry)
+            # ``expected`` ends with its cell sizes, which no split entry
+            # equals, so this never reads past its end
+            if expected is not None and entry != expected[len(trace) - 1]:
+                return tuple(trace)
+            _split(part, o, frags)
+            largest = max(frags, key=len)
+            queue.extend(tuple(f) for f in frags if f is not largest)
+        for w in touched:
+            cnt[w] = 0
+    trace.append(tuple(size[o] for o in _cell_offsets(part)))
+    return tuple(trace)
+
+
+def _refine_both(adj, part, seed, expected=None):
+    """``(order, start, size)`` and the trace from the oracle and from
+    ``autgrp._refine``, each run on its own copy of ``part``."""
+    results = []
+    for kernel in (_reference_refine, autgrp._refine):
+        copy = tuple(list(a) for a in part)
+        trace = kernel(adj, copy, seed, expected)
+        results.append((copy, trace))
+    return results
+
+
+def _individualized_both(adj, part, v, expected=None):
+    """``_refine_both`` on ``part`` with v split off the front of its cell,
+    as ``autgrp._individualize`` does it."""
+    part = tuple(list(a) for a in part)
+    rest = [w for w in autgrp._cell(part, part[1][v]) if w != v]
+    autgrp._split(part, part[1][v], [(v,), rest])
+    return _refine_both(adj, part, [(v,)], expected)
+
+
+def test_refine_matches_reference_kernel():
+    """``autgrp._refine`` gives the oracle's partition and trace, aborted
+    traces included: at the roots of the refinement samples under both
+    colourings, for every sibling of every anchor-path node of random
+    regular graphs, alone and against each other sibling's trace, and
+    along the anchor paths of Hoffman-Singleton, PG(2,4) and W(3,3)."""
+    rng = random.Random(3001)
+    for g, coloring in _refine_samples(rng):
+        part = ([], [0] * g.n, [0] * g.n)
+        autgrp._split(part, 0, coloring.cells)
+        ref, got = _refine_both(g.adjacency, part, coloring.cells)
+        assert got == ref
+    aborted = 0
+    for _ in range(30):
+        g = _random_regular(rng, rng.randrange(8, 25, 2), rng.choice((3, 4)))
+        adj = g.adjacency
+        path, _, _ = autgrp._anchor_path(adj, autgrp._root(g, unit_coloring(g))[0])
+        for part, cell in path:
+            traces = set()
+            for v in cell:
+                ref, got = _individualized_both(adj, part, v)
+                assert got == ref
+                traces.add(ref[1])
+            for v in cell:
+                for other in traces:
+                    ref, got = _individualized_both(adj, part, v, other)
+                    assert got == ref
+                    aborted += ref[1] != other
+    assert aborted > 500
+    for g in (hoffman_singleton(), incidence_pg2(4).graph, incidence_w3(3).graph):
+        adj = g.adjacency
+        part, _ = autgrp._root(g, unit_coloring(g))
+        ref, got = _refine_both(adj, part, [tuple(range(g.n))])
+        assert got == ref
+        path, traces, _ = autgrp._anchor_path(adj, part)
+        for (part, cell), anchor in zip(path, traces):
+            for v in cell:
+                ref, got = _individualized_both(adj, part, v)
+                assert got == ref
+                ref, got = _individualized_both(adj, part, v, anchor)
+                assert got == ref
