@@ -97,8 +97,7 @@ def _refine(adj, part, seed, expected=None):
                 if size[o := start[w]] > 1:
                     touched.setdefault(o, []).append(w)
             for o in sorted(touched, reverse=True):
-                nbrs, n = touched[o], size[o]
-                k = len(nbrs)
+                n, k = size[o], len(touched[o])
                 if k == n:
                     continue
                 entry = (o, (0, 1), (n - k, k))
@@ -107,13 +106,9 @@ def _refine(adj, part, seed, expected=None):
                 # entry equals, so this never reads past its end
                 if expected is not None and entry != expected[len(trace) - 1]:
                     return tuple(trace)
-                rest = order[o : o + n]
-                if k == 1:
-                    rest.remove(nbrs[0])
-                else:
-                    nbrs = set(nbrs)
-                    rest, nbrs = ([v for v in rest if v not in nbrs],
-                                  [v for v in rest if v in nbrs])
+                cell, nbrs = order[o : o + n], set(touched[o])
+                rest = [v for v in cell if v not in nbrs]
+                nbrs = [v for v in cell if v in nbrs]
                 _split(part, o, [rest, nbrs])
                 queue.append(tuple(nbrs if 2 * k <= n else rest))
             continue
@@ -142,11 +137,7 @@ def _refine(adj, part, seed, expected=None):
             queue.extend(tuple(f) for f in frags if f is not largest)
         for w in touched:
             cnt[w] = 0
-    sizes, o = [], 0
-    while o < len(order):
-        sizes.append(size[o])
-        o += size[o]
-    trace.append(tuple(sizes))
+    trace.append(tuple(size[o] for o in _cell_offsets(part)))
     return tuple(trace)
 
 
